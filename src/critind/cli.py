@@ -31,6 +31,16 @@ EXIT_INPUT_ERROR = 2
 EXIT_BOUND_REFUSAL = 3
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="critind",
@@ -44,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--fixture", choices=FIXTURE_NAMES, help="use a named fixture graph")
     p_an.add_argument("--format", choices=("edge_list", "dimacs"), default="edge_list")
     p_an.add_argument("--output", choices=("json", "text"), default="json")
-    p_an.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
+    p_an.add_argument("--oracle-bound", type=_non_negative_int, default=DEFAULT_ORACLE_BOUND)
     p_an.add_argument(
         "--full",
         action="store_true",
@@ -62,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--p", default="0.1,0.3,0.5,0.8", help="comma-separated edge probabilities"
     )
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
+    p_ver.add_argument("--oracle-bound", type=_non_negative_int, default=DEFAULT_ORACLE_BOUND)
     p_ver.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("generate", help="emit a generated graph as edge_list text")
@@ -82,6 +92,10 @@ def _read_graph(args: argparse.Namespace) -> Graph:
         return generate(GeneratorSpec("fixture", fixture=args.fixture))
     if args.input == "-":
         text = sys.stdin.read()
+        # Under a C or POSIX locale stdin decodes with surrogateescape, so
+        # bytes that are not UTF-8 arrive as lone surrogates: reject them
+        # here as a file read rejects them.
+        text.encode("utf-8")
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -91,11 +105,11 @@ def _read_graph(args: argparse.Namespace) -> Graph:
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except UnicodeError as exc:
+        print(f"error: input is not valid UTF-8: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     try:
         report = analyze(

@@ -10,8 +10,10 @@ a closure structure that characterizes every critical set at once:
 
 The family of critical sets is therefore a lattice of closed sets, and
 membership questions (does some critical independent set contain J?) reduce
-to a closure walk plus a disjointness test against N(J). That is what powers
-the greedy maximum critical independent set and the diadem scan at scale.
+to a closure plus a disjointness test against N(J). The greedy maximum
+critical independent set and the diadem build each closure once per strongly
+connected component, as a bitset, so both scans are O(n + m) bitset tests;
+single queries keep a plain closure walk, an independent cross-check.
 Every fast answer here is cross-checked against the exhaustive oracle in the
 test suite; nothing below is trusted on theory alone.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .graph import Graph, check_vertex_set, induced_subgraph, neighborhood
@@ -90,11 +93,15 @@ class _CriticalStructure:
     succ[u] lists the matched partners of u's mirrored neighbors; a critical
     set is exactly a succ-closed set that contains every unmatched original
     and no vertex whose mirror side has an unmatched neighbor.
+
+    Holds g.adj, not g: a reference to g from this value of the weak cache
+    keyed by g would keep g alive forever.
     """
 
     def __init__(self, g: Graph):
-        self.g = g
         n = g.n
+        self.n = n
+        self.adj = g.adj
         dbl = bipartite_double(g)
         m = max_matching_bipartite(dbl.double, dbl.parts)
         left_match = [-1] * n
@@ -151,21 +158,84 @@ class _CriticalStructure:
         self.in_xmin = in_xmin
         self.x_min = frozenset(u for u in range(n) if in_xmin[u])
 
-        # Scratch stamps shared by the per-vertex scans.
-        self._visit = [-1] * n
-        self._nbr_stamp = [-1] * n
-        self._stamp = 0
+    @cached_property
+    def _closures(self) -> tuple[list[int], list[int]]:
+        """(bit, closure): a bit for each free vertex (neither blocked nor in
+        X_min, else -1) and its succ-closure minus X_min as a bitset (else 0).
+
+        An iterative Tarjan condenses succ on the free vertices. It pops
+        components sinks first, each taking a run of consecutive bits, so a
+        component's closure is its own run OR'd with its successors' closures.
+        Memory is at most (free vertices)^2 / 8 bytes.
+        """
+        n = self.n
+        succ = self.succ
+        # index[u] is -1 until u is visited, and n once u is not free or its
+        # component is done, so that such u never lowers a low-link.
+        index = [n if self.blocked[u] or self.in_xmin[u] else -1 for u in range(n)]
+        low = [0] * n
+        bit = [-1] * n
+        closure = [0] * n
+        counter = nbits = 0
+        stack: list[int] = []
+        for root in range(n):
+            if index[root] != -1:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            work = [(root, iter(succ[root]), 0)]
+            while work:
+                u, it, height = work[-1]
+                for x in it:
+                    if index[x] == -1:
+                        index[x] = low[x] = counter
+                        counter += 1
+                        work.append((x, iter(succ[x]), len(stack)))
+                        stack.append(x)
+                        break
+                    if index[x] < low[u]:
+                        low[u] = index[x]
+                else:
+                    work.pop()
+                    if work and low[u] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[u]
+                    if low[u] != index[u]:
+                        continue
+                    members = stack[height:]
+                    del stack[height:]
+                    cl = ((1 << len(members)) - 1) << nbits
+                    for y in members:
+                        bit[y] = nbits
+                        nbits += 1
+                        index[y] = n
+                        for x in succ[y]:
+                            cl |= closure[x]  # 0 for members and non-free x
+                    for y in members:
+                        closure[y] = cl
+        return bit, closure
+
+    def _nbrs_miss(self, v: int, bits: int, bit: list[int]) -> bool:
+        """Does N(v) miss X_min and the free vertices in bits?"""
+        in_xmin = self.in_xmin
+        for w in self.adj[v]:
+            b = bit[w]
+            if in_xmin[w] or b >= 0 and bits >> b & 1:
+                return False
+        return True
 
     def extends(self, members: frozenset[int]) -> bool:
-        """Is there a critical independent set containing all of members?"""
+        """Is there a critical independent set containing all of members?
+
+        A plain closure walk, independent of the bitsets behind the scans.
+        """
         if not members:
             return True
-        g = self.g
         nj: set[int] = set()
         for v in members:
             if self.blocked[v]:
                 return False
-            nj.update(g.adj[v])
+            nj.update(self.adj[v])
         if nj & members:
             return False  # members are not independent
         if nj & self.x_min:
@@ -185,88 +255,39 @@ class _CriticalStructure:
         return True
 
     def greedy_max_critical_independent_set(self) -> frozenset[int]:
-        """Scan vertices in index order, keeping those that still extend."""
-        g = self.g
-        n = g.n
-        in_x = bytearray(self.in_xmin)
-        in_nj = bytearray(n)
-        visit = self._visit
-        nbr = self._nbr_stamp
-        succ = self.succ
+        """Scan vertices in index order, keeping those that still extend.
+
+        With I kept so far and X = X_min + Cl(I), v extends I iff it is not
+        blocked, not in N(I), N(v) misses X, and Cl(v) misses N(I) + N(v).
+        """
+        bit, closure = self._closures
         blocked = self.blocked
+        in_nj = bytearray(self.n)
+        x_bits = 0  # the free part of X
+        nj_bits = 0  # the free part of N(I)
         chosen: list[int] = []
-        for v in range(n):
-            if blocked[v] or in_nj[v]:
+        for v in range(self.n):
+            if blocked[v] or in_nj[v] or closure[v] & nj_bits:
                 continue
-            self._stamp += 1
-            stamp = self._stamp
-            ok = True
-            for w in g.adj[v]:
-                nbr[w] = stamp
-                if in_x[w]:
-                    ok = False
-                    break
-            if not ok:
+            reach = x_bits | closure[v]
+            if not self._nbrs_miss(v, reach, bit):
                 continue
-            new_nodes: list[int] = []
-            if not in_x[v]:
-                stack = [v]
-                while stack:
-                    u = stack.pop()
-                    if in_x[u] or visit[u] == stamp:
-                        continue
-                    if in_nj[u] or nbr[u] == stamp:
-                        ok = False
-                        break
-                    visit[u] = stamp
-                    new_nodes.append(u)
-                    stack.extend(succ[u])
-                if not ok:
-                    continue
-            for u in new_nodes:
-                in_x[u] = 1
-            for w in g.adj[v]:
+            x_bits = reach
+            for w in self.adj[v]:
                 in_nj[w] = 1
+                if bit[w] >= 0:
+                    nj_bits |= 1 << bit[w]
             chosen.append(v)
         return frozenset(chosen)
 
     def diadem(self) -> frozenset[int]:
-        """Vertices lying in some critical independent set."""
-        g = self.g
-        n = g.n
-        in_xmin = self.in_xmin
-        visit = self._visit
-        nbr = self._nbr_stamp
-        succ = self.succ
+        """Vertices lying in some critical independent set: v not blocked,
+        N(v) misses X_min and N(v) misses Cl(v)."""
+        bit, closure = self._closures
         blocked = self.blocked
-        out: list[int] = []
-        for v in range(n):
-            if blocked[v]:
-                continue
-            self._stamp += 1
-            stamp = self._stamp
-            ok = True
-            for w in g.adj[v]:
-                nbr[w] = stamp
-                if in_xmin[w]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if not in_xmin[v]:
-                stack = [v]
-                while stack:
-                    u = stack.pop()
-                    if in_xmin[u] or visit[u] == stamp:
-                        continue
-                    if nbr[u] == stamp:
-                        ok = False
-                        break
-                    visit[u] = stamp
-                    stack.extend(succ[u])
-            if ok:
-                out.append(v)
-        return frozenset(out)
+        return frozenset(
+            v for v in range(self.n) if not blocked[v] and self._nbrs_miss(v, closure[v], bit)
+        )
 
 
 _structures: "weakref.WeakKeyDictionary[Graph, _CriticalStructure]" = weakref.WeakKeyDictionary()

@@ -43,3 +43,15 @@ def permuted(g: Graph, rng: random.Random) -> Graph:
     labels = [g.labels[v] for v in order]
     edges = [(pos[u], pos[v]) for u, v in g.edges()]
     return Graph(labels, edges)
+
+
+def sparse_graph(n: int, c: float, seed: int) -> Graph:
+    """A seeded random graph on n vertices with round(c * n / 2) edges,
+    drawn in O(n + m) so that it scales past the oracle bound."""
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < round(c * n / 2):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph([f"v{i}" for i in range(n)], sorted(edges))

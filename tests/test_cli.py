@@ -68,6 +68,31 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "error" in err
 
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"2 1\n\xff\xfe a\n")
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "UTF-8" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_non_utf8_stdin_exit_2(self, capsys, monkeypatch, errors):
+        raw = io.BytesIO(b"2 1\n\xff\xfe a\n")
+        stdin = io.TextIOWrapper(raw, encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, _, err = run(capsys, "analyze")
+        assert code == 2
+        assert err.startswith("error: ") and "UTF-8" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_negative_oracle_bound_exit_2(self, capsys, command):
+        extra = ["--fixture", "G1"] if command == "analyze" else ["--trials", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *extra, "--oracle-bound", "-1"])
+        assert exc.value.code == 2
+        assert "--oracle-bound: must be at least 0" in capsys.readouterr().err
+
     def test_full_profile_refusal_exit_3(self, capsys):
         code, _, err = run(
             capsys, "analyze", "--fixture", "G1", "--oracle-bound", "3", "--full"

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -25,7 +26,8 @@ from critind import (
     max_matching_general,
     neighborhood,
 )
-from strategies import graphs, permuted
+from critind import critical
+from strategies import graphs, permuted, sparse_graph
 
 
 def edgeless(n):
@@ -218,14 +220,47 @@ class TestDecompose:
         dec = decompose(k0)
         assert dec.I == dec.X == dec.Xc == frozenset()
 
-    def test_x_invariant_under_vertex_order(self):
+    @pytest.mark.parametrize("scale", ["oracle", "n300"])
+    def test_answers_invariant_under_vertex_order(self, scale):
+        # The diadem, X and |I| are label-invariant; I itself depends on the
+        # scan order.
         rng = random.Random(21)
-        for _ in range(30):
-            g = gnp(rng.randint(1, 10), rng.choice([0.2, 0.4, 0.7]), rng.getrandbits(32))
+        for i in range(30 if scale == "oracle" else 6):
+            if scale == "oracle":
+                g = gnp(rng.randint(1, 10), rng.choice([0.2, 0.4, 0.7]), rng.getrandbits(32))
+            else:
+                g = sparse_graph(300, 1.5 + 0.7 * i, seed=i)
             h = permuted(g, rng)
-            x_g = set(label_set(g, decompose(g).X))
-            x_h = set(label_set(h, decompose(h).X))
-            assert x_g == x_h
+            dec_g, dec_h = decompose(g), decompose(h)
+            assert set(label_set(g, dec_g.X)) == set(label_set(h, dec_h.X))
+            assert len(dec_g.I) == len(dec_h.I)
+            assert set(label_set(g, diadem(g))) == set(label_set(h, diadem(h)))
+
+
+@pytest.mark.parametrize(("n", "c"), [(200, 2), (500, 3), (800, 4), (1000, 5), (1500, 2), (1500, 3)])
+def test_scans_match_closure_walk_beyond_oracle_bound(n, c):
+    # Past the oracle bound, the bitset scans are checked against the
+    # per-set closure walk behind extends_to_critical_independent.
+    g = sparse_graph(n, c, seed=n + c)
+    assert diadem(g) == frozenset(
+        v for v in range(n) if extends_to_critical_independent(g, [v])
+    )
+    chosen: list[int] = []
+    for v in range(n):
+        if extends_to_critical_independent(g, chosen + [v]):
+            chosen.append(v)
+    assert max_critical_independent_set(g) == frozenset(chosen)
+
+
+def test_structure_cache_frees_dropped_graphs():
+    critical._structures.clear()
+    g = sparse_graph(50, 2, seed=1)
+    decompose(g)
+    diadem(g)
+    assert len(critical._structures) == 1
+    del g
+    gc.collect()
+    assert len(critical._structures) == 0
 
 
 @settings(max_examples=80)
