@@ -45,6 +45,7 @@ from .matching import (
     BipartitePartition,
     Matching,
     has_augmenting_path,
+    hopcroft_karp,
     max_matching_bipartite,
     max_matching_general,
     min_vertex_cover_bipartite,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from . import critical, matching, oracle
-from .graph import Graph, complement_set, difference, induced_subgraph, is_independent, label_set, neighborhood
+from .graph import Graph, difference, induced_subgraph, is_independent, label_set, neighborhood
 from .oracle import DEFAULT_ORACLE_BOUND, CriticalFamily, IndependenceProfile
 
 __all__ = [
@@ -75,10 +75,6 @@ class TheoremCheckResult:
             "applicable": self.applicable,
             "detail": self.detail,
         }
-
-
-def _fam_sets(g: Graph, sets: tuple[frozenset[int], ...]) -> list[list[str]]:
-    return [label_set(g, s) for s in sets]
 
 
 def _oracle_pieces(

@@ -1,8 +1,10 @@
 """Polynomial-time critical-independence machinery.
 
 The critical difference d(G) = max |X| - |N(X)| is computed as n - mu(B(G))
-over the bipartite double B(G). On top of the same maximum matching we build
-a closure structure that characterizes every critical set at once:
+over the bipartite double B(G). One Hopcroft-Karp per graph runs on the host
+adjacency, the mirror of v being right index v, so B(G) is never built. On
+top of that one maximum matching we build a closure structure that
+characterizes every critical set at once:
 
     X is critical  <=>  X contains all unmatched originals, avoids every
     vertex with an unmatched mirrored neighbor, and is closed under
@@ -14,6 +16,8 @@ to a closure plus a disjointness test against N(J). The greedy maximum
 critical independent set and the diadem build each closure once per strongly
 connected component, as a bitset, so both scans are O(n + m) bitset tests;
 single queries keep a plain closure walk, an independent cross-check.
+bipartite_double, forced_difference and the Konig cover in matching.py stay
+public as independent cross-checks; no production answer goes through them.
 Every fast answer here is cross-checked against the exhaustive oracle in the
 test suite; nothing below is trusted on theory alone.
 """
@@ -26,7 +30,9 @@ from functools import cached_property
 from typing import Iterable
 
 from .graph import Graph, check_vertex_set, induced_subgraph, neighborhood
-from .matching import BipartitePartition, max_matching_bipartite, min_vertex_cover_bipartite
+from .matching import BipartitePartition, hopcroft_karp, max_matching_bipartite
+# Unused here: bench/spans.py wraps this name on this module.
+from .matching import min_vertex_cover_bipartite
 
 __all__ = [
     "BipartiteDouble",
@@ -102,30 +108,18 @@ class _CriticalStructure:
         n = g.n
         self.n = n
         self.adj = g.adj
-        dbl = bipartite_double(g)
-        m = max_matching_bipartite(dbl.double, dbl.parts)
-        left_match = [-1] * n
-        right_match = [-1] * n
-        for a, b in m.edges:
-            left_match[a] = b - n
-            right_match[b - n] = a
-        self.mu_double = m.size
-        self.d = n - m.size
+        # HK on B(G) without building it: left u is original u, right v is
+        # the mirror of v, and original u sees the mirrors of its neighbours.
+        left_match, right_match = hopcroft_karp(g.adj, n)
+        self.d = left_match.count(-1)
 
+        # Distinct mirrors have distinct partners, so outs has no repeats.
         succ: list[tuple[int, ...]] = []
         forbidden = [False] * n
         for u in range(n):
-            outs: set[int] = set()
-            bad = False
-            for w in g.adj[u]:
-                x = right_match[w]
-                if x == -1:
-                    bad = True
-                    break
-                if x != u:
-                    outs.add(x)
-            forbidden[u] = bad
-            succ.append(tuple(sorted(outs)) if not bad else ())
+            outs = [right_match[w] for w in g.adj[u]]
+            forbidden[u] = -1 in outs
+            succ.append(() if forbidden[u] else tuple(sorted(x for x in outs if x != u)))
         self.succ = succ
 
         # blocked[u]: u reaches a forbidden vertex, so no critical set has u.
@@ -144,10 +138,8 @@ class _CriticalStructure:
         self.blocked = blocked
 
         # Minimum critical set: closure of the unmatched originals.
-        in_xmin = bytearray(n)
-        stack = [u for u in range(n) if left_match[u] == -1]
-        for u in stack:
-            in_xmin[u] = 1
+        in_xmin = bytearray(x == -1 for x in left_match)
+        stack = [u for u in range(n) if in_xmin[u]]
         while stack:
             u = stack.pop()
             assert not blocked[u], "minimum critical set hit a blocked vertex"
@@ -309,13 +301,10 @@ def critical_difference(g: Graph) -> int:
 def find_critical_independent_set(g: Graph) -> frozenset[int]:
     """Some independent S with d(S) = d(G), possibly empty.
 
-    Extracts a critical set as the original-side complement of a Konig cover
-    of B(G), then strips its neighborhood.
+    X_min minus its neighbourhood. X_min, the closure of the unmatched
+    originals, is the original side left out of the Konig cover of B(G).
     """
-    dbl = bipartite_double(g)
-    m = max_matching_bipartite(dbl.double, dbl.parts)
-    cover = min_vertex_cover_bipartite(dbl.double, dbl.parts, m)
-    x = frozenset(u for u in range(g.n) if u not in cover)
+    x = _structure(g).x_min
     return x - neighborhood(g, x)
 
 

@@ -1,23 +1,26 @@
 """Maximum matchings: Hopcroft-Karp for bipartite graphs (with Konig cover
 extraction) and blossom contraction for general graphs.
 
-The bipartite path powers the critical-difference reduction; the general one
-supplies mu(G) for the Konig-Egervary verdict. Returned matchings are
-deterministic (vertices are scanned in index order) but not canonical;
-consumers should rely only on size and saturation structure.
+hopcroft_karp works on plain index lists: the critical-difference reduction
+runs it on the host adjacency, max_matching_bipartite on a Graph with a
+checked bipartition. The general matching supplies mu(G) for the
+Konig-Egervary verdict. Returned matchings are deterministic (vertices are
+scanned in index order) but not canonical; consumers should rely only on
+size and saturation structure.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, check_vertex_set
 
 __all__ = [
     "Matching",
     "BipartitePartition",
+    "hopcroft_karp",
     "max_matching_bipartite",
     "min_vertex_cover_bipartite",
     "max_matching_general",
@@ -88,20 +91,20 @@ def _validate_partition(g: Graph, parts: BipartitePartition) -> None:
                 raise ValueError(f"edge inside one side of the bipartition at vertex {u}")
 
 
-def max_matching_bipartite(g: Graph, parts: BipartitePartition) -> Matching:
-    """Maximum matching via Hopcroft-Karp (layered augmenting paths)."""
-    _validate_partition(g, parts)
-    left = sorted(parts.left)
-    n = g.n
-    INF = n + 1
-    pair = [-1] * n
-    dist = [0] * n
-    adj = g.adj
+def hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> tuple[list[int], list[int]]:
+    """Maximum bipartite matching; adj[u] lists the right indices (below
+    n_right) adjacent to left index u. Returns (match_left, match_right):
+    each entry is the partner's index on the other side, or -1."""
+    n_left = len(adj)
+    INF = n_left + 1
+    match_left = [-1] * n_left
+    match_right = [-1] * n_right
+    dist = [0] * n_left
 
     def bfs() -> int:
         q: deque[int] = deque()
-        for u in left:
-            if pair[u] == -1:
+        for u in range(n_left):
+            if match_left[u] == -1:
                 dist[u] = 0
                 q.append(u)
             else:
@@ -111,7 +114,7 @@ def max_matching_bipartite(g: Graph, parts: BipartitePartition) -> Matching:
             u = q.popleft()
             if dist[u] < d_nil:
                 for w in adj[u]:
-                    x = pair[w]
+                    x = match_right[w]
                     if x == -1:
                         if d_nil == INF:
                             d_nil = dist[u] + 1
@@ -123,31 +126,24 @@ def max_matching_bipartite(g: Graph, parts: BipartitePartition) -> Matching:
     def dfs(root: int, d_nil: int) -> bool:
         # Iterative: explicit frame stack so long augmenting paths cannot
         # overflow the interpreter recursion limit.
-        stack: list[tuple[int, Iterable[int]]] = [(root, iter(adj[root]))]
+        stack: list[tuple[int, Iterator[int]]] = [(root, iter(adj[root]))]
         via: list[int] = []
         while stack:
             u, it = stack[-1]
-            descend = None
             for w in it:
-                x = pair[w]
+                x = match_right[w]
                 if x == -1:
                     if d_nil == dist[u] + 1:
-                        pair[w] = u
-                        pair[u] = w
-                        stack.pop()
-                        while stack:
-                            pu, _ = stack.pop()
-                            pw = via.pop()
-                            pair[pw] = pu
-                            pair[pu] = pw
+                        # Frame i descended through via[i]; augment along it.
+                        via.append(w)
+                        for (pu, _), pw in zip(stack, via):
+                            match_right[pw] = pu
+                            match_left[pu] = pw
                         return True
                 elif dist[x] == dist[u] + 1:
-                    descend = (w, x)
+                    via.append(w)
+                    stack.append((x, iter(adj[x])))
                     break
-            if descend is not None:
-                w, x = descend
-                via.append(w)
-                stack.append((x, iter(adj[x])))
             else:
                 dist[u] = INF
                 stack.pop()
@@ -159,11 +155,22 @@ def max_matching_bipartite(g: Graph, parts: BipartitePartition) -> Matching:
         d_nil = bfs()
         if d_nil == INF:
             break
-        for u in left:
-            if pair[u] == -1:
+        for u in range(n_left):
+            if match_left[u] == -1:
                 dfs(u, d_nil)
+    return match_left, match_right
 
-    return Matching(g, ((u, pair[u]) for u in left if pair[u] != -1))
+
+def max_matching_bipartite(g: Graph, parts: BipartitePartition) -> Matching:
+    """Maximum matching via Hopcroft-Karp, each side numbered in sorted
+    order so that the kernel scans in the host's index order."""
+    _validate_partition(g, parts)
+    left = sorted(parts.left)
+    right = sorted(parts.right)
+    pos = {w: j for j, w in enumerate(right)}
+    adj = [[pos[w] for w in g.adj[u]] for u in left]
+    match_left, _ = hopcroft_karp(adj, len(right))
+    return Matching(g, ((u, right[j]) for u, j in zip(left, match_left) if j != -1))
 
 
 def min_vertex_cover_bipartite(g: Graph, parts: BipartitePartition, m: Matching) -> frozenset[int]:

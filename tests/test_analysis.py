@@ -12,11 +12,15 @@ from critind import (
     analyze,
     bipartite_gnp,
     fast_oracle_consistency,
+    fixture,
+    generate,
     gnp,
     ke_verdicts,
     label_set,
     verify_theorems,
 )
+from critind import critical
+from critind.cli import corpus_specs
 from strategies import graphs
 
 EXPECTED_CHECK_IDS = [
@@ -209,3 +213,27 @@ def test_analyze_disconnected_mixed():
     assert not r.verdicts.is_ke  # triangle component breaks KE
     assert label_set(g, r.decomposition.X) == ["a", "b"]
     assert label_set(g, r.decomposition.Xc) == ["x", "y", "z"]
+
+
+def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
+    # Every answer comes from the one Hopcroft-Karp behind the cached
+    # structure; the double and the Konig cover are cross-checks only.
+    def refuse(*args, **kwargs):
+        raise AssertionError("production path reached a cross-check")
+
+    for name in ("bipartite_double", "max_matching_bipartite", "min_vertex_cover_bipartite"):
+        monkeypatch.setattr(critical, name, refuse)
+    calls = []
+    kernel = critical.hopcroft_karp
+
+    def counted(adj, n_right):
+        calls.append(n_right)
+        return kernel(adj, n_right)
+
+    monkeypatch.setattr(critical, "hopcroft_karp", counted)
+    inputs = [fixture(name) for name in ("G1", "G2", "GF")]
+    inputs += [generate(spec) for spec in corpus_specs(50, 0, 12, [0.1, 0.3, 0.5, 0.8], 20260809)]
+    for g in inputs:
+        calls.clear()
+        assert analyze(g, include_checks=True).ok
+        assert len(calls) == 1

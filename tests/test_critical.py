@@ -23,7 +23,9 @@ from critind import (
     label_set,
     max_critical_independent_set,
     max_difference_exhaustive,
+    max_matching_bipartite,
     max_matching_general,
+    min_vertex_cover_bipartite,
     neighborhood,
 )
 from critind import critical
@@ -32,6 +34,25 @@ from strategies import graphs, permuted, sparse_graph
 
 def edgeless(n):
     return Graph([f"v{i}" for i in range(n)], [])
+
+
+def konig_reference(g):
+    """(cover, S): a minimum vertex cover of B(G), built on the double, and
+    the originals it leaves out minus their neighbourhood."""
+    dbl = bipartite_double(g)
+    m = max_matching_bipartite(dbl.double, dbl.parts)
+    cover = min_vertex_cover_bipartite(dbl.double, dbl.parts, m)
+    x = frozenset(u for u in range(g.n) if u not in cover)
+    return cover, x - neighborhood(g, x)
+
+
+def networkx_d(g):
+    """n - mu(B(G)), with the matching of the double computed by networkx."""
+    nx = pytest.importorskip("networkx")
+    b = nx.Graph()
+    b.add_nodes_from(range(2 * g.n))
+    b.add_edges_from((u, g.n + v) for u in range(g.n) for v in g.adj[u])
+    return g.n - len(nx.bipartite.hopcroft_karp_matching(b, range(g.n))) // 2
 
 
 class TestBipartiteDouble:
@@ -252,6 +273,29 @@ def test_scans_match_closure_walk_beyond_oracle_bound(n, c):
     assert max_critical_independent_set(g) == frozenset(chosen)
 
 
+@pytest.mark.parametrize(("n", "c"), [(200, 2), (500, 3), (800, 4), (1000, 5), (1500, 2), (1500, 3)])
+def test_find_critical_matches_konig_cover_beyond_oracle_bound(n, c):
+    # The Konig cover of B(G) certifies d; its uncovered originals are X_min.
+    g = sparse_graph(n, c, seed=n * c)
+    s = find_critical_independent_set(g)
+    cover, reference = konig_reference(g)
+    assert s == reference
+    assert len(cover) == n - critical_difference(g)
+    assert is_independent(g, s) and difference(g, s) == critical_difference(g)
+
+
+@pytest.mark.parametrize(("n", "c"), [(500, 2), (1000, 3), (2000, 4), (3000, 5), (3000, 2)])
+def test_d_matches_networkx_beyond_oracle_bound(n, c):
+    g = sparse_graph(n, c, seed=7 * n + c)
+    assert critical_difference(g) == networkx_d(g)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_d_matches_networkx_on_dense_graphs(seed):
+    g = gnp(300, 0.3, seed)
+    assert critical_difference(g) == networkx_d(g)
+
+
 def test_structure_cache_frees_dropped_graphs():
     critical._structures.clear()
     g = sparse_graph(50, 2, seed=1)
@@ -278,6 +322,9 @@ def test_find_critical_postcondition(g):
     s = find_critical_independent_set(g)
     assert is_independent(g, s)
     assert difference(g, s) == critical_difference(g)
+    cover, reference = konig_reference(g)
+    assert s == reference
+    assert len(cover) == g.n - critical_difference(g)
 
 
 @settings(max_examples=80)

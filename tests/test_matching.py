@@ -8,6 +8,7 @@ from critind import (
     bipartite_double,
     bipartite_gnp,
     has_augmenting_path,
+    hopcroft_karp,
     max_matching_bipartite,
     max_matching_general,
     min_vertex_cover_bipartite,
@@ -81,6 +82,26 @@ class TestBipartiteMatching:
         g = bipartite_gnp(6, 6, 0.5, seed=3)
         parts = BipartitePartition(frozenset(range(6)), frozenset(range(6, 12)))
         assert max_matching_bipartite(g, parts).sorted_edges() == max_matching_bipartite(g, parts).sorted_edges()
+
+
+class TestHopcroftKarpKernel:
+    def test_empty_adj(self):
+        assert hopcroft_karp([], 0) == ([], [])
+        assert hopcroft_karp([], 3) == ([], [-1, -1, -1])
+
+    def test_no_right_side(self):
+        assert hopcroft_karp([[], []], 0) == ([-1, -1], [])
+
+    def test_star(self):
+        # Centre on the left: it takes its first leaf.
+        assert hopcroft_karp([[0, 1, 2]], 3) == ([0], [0, -1, -1])
+        # Centre on the right: the first leaf takes it.
+        assert hopcroft_karp([[0], [0], [0]], 1) == ([0, -1, -1], [0])
+
+    def test_k33_perfect(self):
+        match_left, match_right = hopcroft_karp([[0, 1, 2]] * 3, 3)
+        assert sorted(match_left) == sorted(match_right) == [0, 1, 2]
+        assert all(match_right[j] == u for u, j in enumerate(match_left))
 
 
 class TestKonigCover:
@@ -196,3 +217,10 @@ def test_konig_on_random_bipartite(data):
     assert len(cover) == m.size
     for u, v in g.edges():
         assert u in cover or v in cover
+    # The kernel on the same graph, right side renumbered from 0.
+    nl = len(left)
+    match_left, match_right = hopcroft_karp([[w - nl for w in g.adj[u]] for u in range(nl)], len(right))
+    assert all(match_right[j] == u for u, j in enumerate(match_left) if j != -1)
+    assert all(match_left[u] == j for j, u in enumerate(match_right) if u != -1)
+    assert all(g.has_edge(u, nl + j) for u, j in enumerate(match_left) if j != -1)
+    assert sum(j != -1 for j in match_left) == m.size
