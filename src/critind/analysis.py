@@ -332,11 +332,11 @@ def fast_oracle_consistency(
 ) -> list[TheoremCheckResult]:
     """Cross-check every polynomial path against the exhaustive oracle."""
     prof, fam, mu = _oracle_pieces(g, bound)
-    return _run_consistency(g, prof, fam, mu)
+    return _run_consistency(g, prof, fam, mu, bound)
 
 
 def _run_consistency(
-    g: Graph, prof: IndependenceProfile, fam: CriticalFamily, mu: int
+    g: Graph, prof: IndependenceProfile, fam: CriticalFamily, mu: int, bound: int
 ) -> list[TheoremCheckResult]:
     checks: list[TheoremCheckResult] = []
     d_fast = critical.critical_difference(g)
@@ -401,7 +401,7 @@ def _run_consistency(
         )
     )
 
-    mu_oracle = oracle.mu_exact(g)
+    mu_oracle = oracle.mu_exact(g, bound)
     checks.append(
         TheoremCheckResult(
             "EQ-mu",
@@ -591,6 +591,6 @@ def analyze(
     if include_checks:
         t2 = time.perf_counter()
         report.checks = _run_checks(g, prof, fam, mu, decomp, oracle_bound)
-        report.consistency = _run_consistency(g, prof, fam, mu)
+        report.consistency = _run_consistency(g, prof, fam, mu, oracle_bound)
         timings["checks"] = time.perf_counter() - t2
     return report

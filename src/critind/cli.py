@@ -30,6 +30,12 @@ EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BOUND_REFUSAL = 3
 
+# Largest --oracle-bound accepted. The oracle is exponential in n: on a
+# 2-vCPU Xeon VM, analyze with checks took up to 6.7 s and 97 MB at n = 28
+# (K_28 the slowest), but up to 20 s at n = 30 and 62 s at n = 32, over
+# G(n, p) with p from 0.1 to 1.
+MAX_ORACLE_BOUND = 28
+
 
 def _non_negative_int(text: str) -> int:
     try:
@@ -38,6 +44,13 @@ def _non_negative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
+def _oracle_bound(text: str) -> int:
+    value = _non_negative_int(text)
+    if value > MAX_ORACLE_BOUND:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_ORACLE_BOUND}, got {value}")
     return value
 
 
@@ -54,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--fixture", choices=FIXTURE_NAMES, help="use a named fixture graph")
     p_an.add_argument("--format", choices=("edge_list", "dimacs"), default="edge_list")
     p_an.add_argument("--output", choices=("json", "text"), default="json")
-    p_an.add_argument("--oracle-bound", type=_non_negative_int, default=DEFAULT_ORACLE_BOUND)
+    p_an.add_argument("--oracle-bound", type=_oracle_bound, default=DEFAULT_ORACLE_BOUND)
     p_an.add_argument(
         "--full",
         action="store_true",
@@ -72,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--p", default="0.1,0.3,0.5,0.8", help="comma-separated edge probabilities"
     )
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--oracle-bound", type=_non_negative_int, default=DEFAULT_ORACLE_BOUND)
+    p_ver.add_argument("--oracle-bound", type=_oracle_bound, default=DEFAULT_ORACLE_BOUND)
     p_ver.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("generate", help="emit a generated graph as edge_list text")

@@ -4,7 +4,12 @@ extraction) and blossom contraction for general graphs.
 hopcroft_karp works on plain index lists: the critical-difference reduction
 runs it on the host adjacency, max_matching_bipartite on a Graph with a
 checked bipartition. The general matching supplies mu(G) for the
-Konig-Egervary verdict. Returned matchings are deterministic (vertices are
+Konig-Egervary verdict: Edmonds' blossom contraction, one BFS alternating
+tree per unmatched vertex after a greedy seed. Blossom bases live in a
+union-find (Gabow, J. ACM 23, 1976), the scratch arrays are allocated once
+per call and reset only where a search touched them, and the lowest common
+base is found by stamping, so one search costs time proportional to its
+tree rather than to n. Returned matchings are deterministic (vertices are
 scanned in index order) but not canonical; consumers should rely only on
 size and saturation structure.
 """
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, check_vertex_set
 
@@ -208,76 +213,96 @@ def min_vertex_cover_bipartite(g: Graph, parts: BipartitePartition, m: Matching)
 # General graphs: blossom contraction
 
 
-def _find_augmenting(
-    adj: tuple[tuple[int, ...], ...], match: list[int], root: int
-) -> tuple[int, list[int]]:
-    """BFS an alternating tree from an unmatched root, contracting blossoms.
+def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int], bool]:
+    """The blossom search over one graph and one mutable mate array.
 
-    Returns (endpoint, parent) where endpoint is an unmatched vertex closing
-    an augmenting path, or -1 if none exists from this root.
+    The returned function grows a BFS alternating tree from an unmatched
+    root, contracting blossoms as it meets them. If it reaches an unmatched
+    vertex it flips the augmenting path into `match` and returns True. Its
+    scratch arrays are allocated here once; each search resets only the
+    vertices its tree touched, so it costs time proportional to that tree.
     """
     n = len(adj)
     parent = [-1] * n
-    base = list(range(n))
-    used = [False] * n
-    used[root] = True
-    q: deque[int] = deque([root])
+    used = [False] * n  # even (outer) vertices of the current tree
+    uf = list(range(n))  # union-find over blossoms; each root is its blossom's base
+    mark = [0] * n  # lca stamps
+    stamp = 0
+
+    def find(v: int) -> int:
+        while uf[v] != v:
+            uf[v] = v = uf[uf[v]]
+        return v
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        # Climb from both ends in turn, stamping bases; the first base met
+        # twice is the lowest common one. Each side climbs only until then.
+        nonlocal stamp
+        stamp += 1
         while True:
-            a = base[a]
-            seen[a] = True
-            if match[a] == -1:
-                break
-            a = parent[match[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = parent[match[b]]
+            if a != -1:
+                a = find(a)
+                if mark[a] == stamp:
+                    return a
+                mark[a] = stamp
+                a = -1 if match[a] == -1 else parent[match[a]]
+            a, b = b, a
 
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
-        while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+    def contract(v: int, b: int, child: int, queue: list[int]) -> None:
+        # Fold the blossoms from v up to base b into b. Their odd vertices
+        # become even and join the queue; the rest already were even.
+        while (bv := find(v)) != b:
+            uf[bv] = b
+            x = match[v]
+            uf[find(x)] = b
+            if not used[x]:
+                used[x] = True
+                queue.append(x)
             parent[v] = child
-            child = match[v]
-            v = parent[match[v]]
+            child = x
+            v = parent[x]
 
-    while q:
-        v = q.popleft()
-        for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
-                continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                # Even-even edge: contract the blossom through the LCA.
-                curbase = lca(v, to)
-                in_blossom = [False] * n
-                mark_path(v, curbase, to, in_blossom)
-                mark_path(to, curbase, v, in_blossom)
-                for i in range(n):
-                    if in_blossom[base[i]]:
-                        base[i] = curbase
-                        if not used[i]:
-                            used[i] = True
-                            q.append(i)
-            elif parent[to] == -1:
-                parent[to] = v
-                if match[to] == -1:
-                    return to, parent
-                used[match[to]] = True
-                q.append(match[to])
-    return -1, parent
+    def augment(root: int) -> bool:
+        used[root] = True
+        queue = [root]
+        odd: list[int] = []
+        end = -1
+        i = 0
+        while i < len(queue) and end == -1:
+            v = queue[i]
+            i += 1
+            for to in adj[v]:
+                if match[v] == to or find(v) == find(to):
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    # Even-even edge: contract the blossom through the LCA.
+                    b = lca(v, to)
+                    contract(v, b, to, queue)
+                    contract(to, b, v, queue)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    odd.append(to)
+                    if match[to] == -1:
+                        end = to
+                        break
+                    used[match[to]] = True
+                    queue.append(match[to])
+        to = end
+        while to != -1:
+            v = parent[to]
+            nxt = match[v]
+            match[v] = to
+            match[to] = v
+            to = nxt
+        for v in queue:
+            used[v] = False
+            parent[v] = -1
+            uf[v] = v
+        for v in odd:
+            parent[v] = -1
+        return end != -1
 
-
-def _augment_along(match: list[int], parent: list[int], to: int) -> None:
-    while to != -1:
-        v = parent[to]
-        nxt = match[v]
-        match[v] = to
-        match[to] = v
-        to = nxt
+    return augment
 
 
 def max_matching_general(g: Graph) -> Matching:
@@ -294,11 +319,10 @@ def max_matching_general(g: Graph) -> Matching:
                     match[v] = u
                     match[u] = v
                     break
+    augment = _augmenter(g.adj, match)
     for v in range(n):
         if match[v] == -1:
-            to, parent = _find_augmenting(g.adj, match, v)
-            if to != -1:
-                _augment_along(match, parent, to)
+            augment(v)
     return Matching(g, ((u, match[u]) for u in range(n) if match[u] > u))
 
 
@@ -308,9 +332,5 @@ def has_augmenting_path(g: Graph, m: Matching) -> bool:
     for u, v in m.edges:
         match[u] = v
         match[v] = u
-    for v in range(g.n):
-        if match[v] == -1:
-            to, _ = _find_augmenting(g.adj, match, v)
-            if to != -1:
-                return True
-    return False
+    augment = _augmenter(g.adj, match)
+    return any(augment(v) for v in range(g.n) if match[v] == -1)

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from critind import parse_graph
-from critind.cli import main
+from critind import DEFAULT_ORACLE_BOUND, gnp, parse_graph, to_edge_list
+from critind.cli import MAX_ORACLE_BOUND, main
+from critind.graph import MAX_DIMACS_VERTICES
 
 G1_TEXT = "7 7\na e\nb e\nc e\nc f\nc g\nd g\nf g\n"
 
@@ -92,6 +93,36 @@ class TestAnalyzeCommand:
             main([command, *extra, "--oracle-bound", "-1"])
         assert exc.value.code == 2
         assert "--oracle-bound: must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_oracle_bound_above_cap_exit_2(self, capsys, command):
+        extra = ["--fixture", "G1"] if command == "analyze" else ["--trials", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *extra, "--oracle-bound", str(MAX_ORACLE_BOUND + 1)])
+        assert exc.value.code == 2
+        assert f"--oracle-bound: must be at most {MAX_ORACLE_BOUND}" in capsys.readouterr().err
+
+    def test_oracle_bound_above_default_runs_every_check(self, capsys, tmp_path):
+        # Every oracle call, EQ-mu's exact matching included, must run under
+        # the bound given, not the default one.
+        path = tmp_path / "g21.txt"
+        path.write_text(to_edge_list(gnp(DEFAULT_ORACLE_BOUND + 1, 0.5, seed=1)))
+        bound = str(DEFAULT_ORACLE_BOUND + 2)
+        code, out, _ = run(capsys, "analyze", "--input", str(path), "--oracle-bound", bound)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["oracle"] == {"applied": True, "bound": DEFAULT_ORACLE_BOUND + 2}
+
+    def test_dimacs_vertex_count_above_limit_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.col"
+        path.write_text("p edge 1000000000 0\n")
+        code, out, err = run(capsys, "analyze", "--input", str(path), "--format", "dimacs")
+        assert code == 2
+        assert err == (
+            f"error: line 1: problem line declares 1000000000 vertices; "
+            f"the limit is {MAX_DIMACS_VERTICES}\n"
+        )
+        assert out == ""
 
     def test_full_profile_refusal_exit_3(self, capsys):
         code, _, err = run(

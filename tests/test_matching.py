@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critind import (
     BipartitePartition,
@@ -14,7 +15,7 @@ from critind import (
     min_vertex_cover_bipartite,
     mu_exact,
 )
-from strategies import bipartite_graphs, graphs
+from strategies import bipartite_graphs, graphs, sparse_graph
 
 
 def path_graph(labels):
@@ -23,6 +24,40 @@ def path_graph(labels):
 
 def cycle(n):
     return Graph([f"c{i}" for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    return Graph([f"p{i}" for i in range(10)], outer + inner + spokes)
+
+
+def two_triangles_bridge():
+    return Graph(list("abcdef"), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+
+
+def nested_blossom():
+    """From the unmatched root r under the matching ab, cd, ef, the search
+    contracts the triangle bcd and then the 5-cycle r-a-(bcd)-e-f, which
+    contains it; the augmenting path r-f-e-d-c-t leaves through c, an odd
+    vertex of the inner blossom."""
+    g = Graph.from_label_edges(
+        list("rabcdeft"),
+        [("r", "a"), ("a", "b"), ("b", "c"), ("c", "d"), ("b", "d"),
+         ("d", "e"), ("e", "f"), ("f", "r"), ("c", "t")],
+    )
+    m = Matching(g, [(g.index_of(x), g.index_of(y)) for x, y in ("ab", "cd", "ef")])
+    return g, m
+
+
+def disjoint_union_of(parts):
+    labels, edges = [], []
+    for k, part in enumerate(parts):
+        offset = len(labels)
+        labels += [f"g{k}_{label}" for label in part.labels]
+        edges += [(offset + u, offset + v) for u, v in part.edges()]
+    return Graph(labels, edges)
 
 
 class TestMatchingType:
@@ -145,19 +180,16 @@ class TestGeneralMatching:
         assert max_matching_general(cycle(7)).size == 3
 
     def test_petersen(self):
-        outer = [(i, (i + 1) % 5) for i in range(5)]
-        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        spokes = [(i, i + 5) for i in range(5)]
-        g = Graph([f"p{i}" for i in range(10)], outer + inner + spokes)
-        assert max_matching_general(g).size == 5
+        assert max_matching_general(petersen()).size == 5
 
     def test_two_triangles_bridge(self):
         # Blossoms on both sides of a bridge; perfect matching exists.
-        g = Graph(
-            list("abcdef"),
-            [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)],
-        )
-        assert max_matching_general(g).size == 3
+        assert max_matching_general(two_triangles_bridge()).size == 3
+
+    def test_nested_blossom(self):
+        g, m = nested_blossom()
+        assert has_augmenting_path(g, m)
+        assert max_matching_general(g).size == mu_exact(g) == 4
 
     def test_k0(self, k0):
         assert max_matching_general(k0).size == 0
@@ -204,6 +236,47 @@ def test_submaximal_matching_has_augmenting_path(g):
         return
     smaller = Matching(g, sorted(m.edges)[1:])
     assert has_augmenting_path(g, smaller)
+
+
+STRUCTURED = [cycle(3), cycle(5), cycle(7), petersen(), two_triangles_bridge(), nested_blossom()[0]]
+
+
+@settings(max_examples=40)
+@given(
+    st.lists(graphs(max_n=10), min_size=6, max_size=10).flatmap(lambda r: st.permutations(r + STRUCTURED)),
+    st.randoms(use_true_random=False),
+)
+def test_no_state_leaks_between_searches(parts, rnd):
+    # Every search of one call shares the same scratch arrays; a vertex left
+    # dirty by one search would corrupt a later one.
+    g = disjoint_union_of(parts)
+    mu = sum(mu_exact(part) for part in parts)
+    m = max_matching_general(g)
+    assert m.size == mu
+    assert not has_augmenting_path(g, m)
+    for e in m.edges:
+        assert has_augmenting_path(g, Matching(g, m.edges - {e}))
+    # A maximal matching drawn in random edge order is often not maximum, and
+    # its searches that fail run before the one that must succeed.
+    edges = g.edges()
+    rnd.shuffle(edges)
+    matched: set[int] = set()
+    maximal = []
+    for u, v in edges:
+        if u not in matched and v not in matched:
+            matched |= {u, v}
+            maximal.append((u, v))
+    assert has_augmenting_path(g, Matching(g, maximal)) == (len(maximal) < mu)
+
+
+@pytest.mark.parametrize(("n", "c"), [(200, 2), (500, 3), (1000, 4), (1500, 5), (1500, 2)])
+def test_mu_matches_networkx_beyond_oracle_bound(n, c):
+    nx = pytest.importorskip("networkx")
+    g = sparse_graph(n, c, seed=11 * n + c)
+    ng = nx.Graph()
+    ng.add_nodes_from(range(n))
+    ng.add_edges_from(g.edges())
+    assert max_matching_general(g).size == len(nx.max_weight_matching(ng, maxcardinality=True))
 
 
 @settings(max_examples=80)
