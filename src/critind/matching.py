@@ -8,10 +8,11 @@ Konig-Egervary verdict: Edmonds' blossom contraction, one BFS alternating
 tree per unmatched vertex after a greedy seed. Blossom bases live in a
 union-find (Gabow, J. ACM 23, 1976), the scratch arrays are allocated once
 per call and reset only where a search touched them, and the lowest common
-base is found by stamping, so one search costs time proportional to its
-tree rather than to n. Returned matchings are deterministic (vertices are
-scanned in index order) but not canonical; consumers should rely only on
-size and saturation structure.
+base is found by stamping, so one search works only on the vertices of its
+tree and never on all n. A contraction walks its two paths under the bases
+as they were and merges them after both walks. Returned matchings are
+deterministic (vertices are scanned in index order) but not canonical;
+consumers should rely only on size and saturation structure.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int]
     root, contracting blossoms as it meets them. If it reaches an unmatched
     vertex it flips the augmenting path into `match` and returns True. Its
     scratch arrays are allocated here once; each search resets only the
-    vertices its tree touched, so it costs time proportional to that tree.
+    vertices its tree touched, so it does no O(n) work.
     """
     n = len(adj)
     parent = [-1] * n
@@ -248,13 +249,16 @@ def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int]
                 a = -1 if match[a] == -1 else parent[match[a]]
             a, b = b, a
 
-    def contract(v: int, b: int, child: int, queue: list[int]) -> None:
-        # Fold the blossoms from v up to base b into b. Their odd vertices
-        # become even and join the queue; the rest already were even.
+    def mark_path(v: int, b: int, child: int, queue: list[int], bases: list[int]) -> None:
+        # Walk from v up to base b, collecting the bases passed. Their odd
+        # vertices become even and join the queue; the rest already were
+        # even. The bases are merged only after both walks: a walk that
+        # enters an earlier blossom away from its base must still see that
+        # blossom's own base, or it would stop inside it.
         while (bv := find(v)) != b:
-            uf[bv] = b
             x = match[v]
-            uf[find(x)] = b
+            bases.append(bv)
+            bases.append(find(x))
             if not used[x]:
                 used[x] = True
                 queue.append(x)
@@ -277,8 +281,11 @@ def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int]
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
                     # Even-even edge: contract the blossom through the LCA.
                     b = lca(v, to)
-                    contract(v, b, to, queue)
-                    contract(to, b, v, queue)
+                    bases: list[int] = []
+                    mark_path(v, b, to, queue, bases)
+                    mark_path(to, b, v, queue, bases)
+                    for bv in bases:
+                        uf[bv] = b
                 elif parent[to] == -1:
                     parent[to] = v
                     odd.append(to)

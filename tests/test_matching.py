@@ -51,6 +51,24 @@ def nested_blossom():
     return g, m
 
 
+def twin_nested_blossoms():
+    """Two copies of the nested-blossom gadget without t, joined by a-a'.
+    The greedy matching ab, cd, ef, a'b', c'd', e'f' leaves r and u free; the
+    augmenting path r-f-e-d-c-b-a-a'-b'-c'-d'-e'-f'-u passes through both
+    triangles. A contraction whose walk enters an earlier blossom away from
+    its base must walk on to that base; a search that stops inside the
+    blossom misses the path and reports 6 instead of 7."""
+    g = Graph.from_label_edges(
+        ["a", "b", "c", "d", "e", "f", "a'", "b'", "c'", "d'", "e'", "f'", "r", "u"],
+        [("a", "b"), ("b", "c"), ("c", "d"), ("b", "d"), ("d", "e"), ("e", "f"), ("f", "r"), ("r", "a"),
+         ("a'", "b'"), ("b'", "c'"), ("c'", "d'"), ("b'", "d'"), ("d'", "e'"), ("e'", "f'"), ("f'", "u"),
+         ("u", "a'"), ("a", "a'")],
+    )
+    pairs = [("a", "b"), ("c", "d"), ("e", "f"), ("a'", "b'"), ("c'", "d'"), ("e'", "f'")]
+    m = Matching(g, [(g.index_of(x), g.index_of(y)) for x, y in pairs])
+    return g, m
+
+
 def disjoint_union_of(parts):
     labels, edges = [], []
     for k, part in enumerate(parts):
@@ -191,6 +209,11 @@ class TestGeneralMatching:
         assert has_augmenting_path(g, m)
         assert max_matching_general(g).size == mu_exact(g) == 4
 
+    def test_twin_nested_blossoms(self):
+        g, m = twin_nested_blossoms()
+        assert has_augmenting_path(g, m)
+        assert max_matching_general(g).size == mu_exact(g) == 7
+
     def test_k0(self, k0):
         assert max_matching_general(k0).size == 0
 
@@ -238,7 +261,8 @@ def test_submaximal_matching_has_augmenting_path(g):
     assert has_augmenting_path(g, smaller)
 
 
-STRUCTURED = [cycle(3), cycle(5), cycle(7), petersen(), two_triangles_bridge(), nested_blossom()[0]]
+STRUCTURED = [cycle(3), cycle(5), cycle(7), petersen(), two_triangles_bridge(), nested_blossom()[0],
+              twin_nested_blossoms()[0]]
 
 
 @settings(max_examples=40)
