@@ -20,6 +20,7 @@ from .critical import (
     extends_to_critical_independent,
     find_critical_independent_set,
     forced_difference,
+    matching_number,
     max_critical_independent_set,
 )
 from .graph import (
@@ -44,6 +45,7 @@ from .graph import (
 from .matching import (
     BipartitePartition,
     Matching,
+    blossom,
     has_augmenting_path,
     hopcroft_karp,
     max_matching_bipartite,

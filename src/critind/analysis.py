@@ -82,7 +82,7 @@ def _oracle_pieces(
 ) -> tuple[IndependenceProfile, CriticalFamily, int]:
     prof = oracle.independence_profile(g, bound)
     fam = oracle.critical_family(g, bound)
-    mu = matching.max_matching_general(g).size
+    mu = critical.matching_number(g)
     return prof, fam, mu
 
 
@@ -557,7 +557,7 @@ def analyze(
     decomp = critical.decompose(g)
     d = critical.critical_difference(g)
     diadem_fast = critical.diadem(g)
-    mu = matching.max_matching_general(g).size
+    mu = critical.matching_number(g)
     timings["polynomial"] = time.perf_counter() - t0
 
     use_oracle = g.n <= oracle_bound

@@ -1,10 +1,13 @@
 """Polynomial-time critical-independence machinery.
 
 The critical difference d(G) = max |X| - |N(X)| is computed as n - mu(B(G))
-over the bipartite double B(G). One Hopcroft-Karp per graph runs on the host
-adjacency, the mirror of v being right index v, so B(G) is never built. On
-top of that one maximum matching we build a closure structure that
-characterizes every critical set at once:
+over the bipartite double B(G). One blossom per graph gives mu(G), and its
+matching, doubled (uv to u-v' and v-u'), is a matching of B(G) of size
+2 mu(G) <= n - d(G). It seeds one Hopcroft-Karp on the host adjacency, the
+mirror of v being right index v, so B(G) is never built and only the few
+augmentations left to n - d(G) are searched for. On top of that one maximum
+matching of B(G) we build a closure structure that characterizes every
+critical set at once:
 
     X is critical  <=>  X contains all unmatched originals, avoids every
     vertex with an unmatched mirrored neighbor, and is closed under
@@ -30,7 +33,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .graph import Graph, check_vertex_set, induced_subgraph, neighborhood
-from .matching import BipartitePartition, hopcroft_karp, max_matching_bipartite
+from .matching import BipartitePartition, blossom, hopcroft_karp, max_matching_bipartite
 # Unused here: bench/spans.py wraps this name on this module.
 from .matching import min_vertex_cover_bipartite
 
@@ -40,6 +43,7 @@ __all__ = [
     "Decomposition",
     "bipartite_double",
     "critical_difference",
+    "matching_number",
     "find_critical_independent_set",
     "forced_difference",
     "extends_to_critical_independent",
@@ -94,7 +98,8 @@ def bipartite_double(g: Graph) -> BipartiteDouble:
 
 
 class _CriticalStructure:
-    """Matching on B(G) plus the closure graph over original vertices.
+    """mu(G), a maximum matching of B(G) and the closure graph over original
+    vertices.
 
     succ[u] lists the matched partners of u's mirrored neighbors; a critical
     set is exactly a succ-closed set that contains every unmatched original
@@ -108,9 +113,13 @@ class _CriticalStructure:
         n = g.n
         self.n = n
         self.adj = g.adj
+        mate = blossom(g.adj)
+        self.mu = (n - mate.count(-1)) // 2
         # HK on B(G) without building it: left u is original u, right v is
         # the mirror of v, and original u sees the mirrors of its neighbours.
-        left_match, right_match = hopcroft_karp(g.adj, n)
+        # The doubled blossom matching starts it: left u holds the mirror of
+        # mate[u], and the mirror of v is held by mate[v].
+        left_match, right_match = hopcroft_karp(g.adj, n, (mate, mate[:]))
         self.d = left_match.count(-1)
 
         # Distinct mirrors have distinct partners, so outs has no repeats.
@@ -296,6 +305,11 @@ def _structure(g: Graph) -> _CriticalStructure:
 def critical_difference(g: Graph) -> int:
     """d(G) = n - mu(B(G)); always >= 0 since d(empty set) = 0."""
     return _structure(g).d
+
+
+def matching_number(g: Graph) -> int:
+    """mu(G), from the blossom matching that seeds the structure's HK."""
+    return _structure(g).mu
 
 
 def find_critical_independent_set(g: Graph) -> frozenset[int]:

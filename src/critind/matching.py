@@ -1,11 +1,13 @@
 """Maximum matchings: Hopcroft-Karp for bipartite graphs (with Konig cover
 extraction) and blossom contraction for general graphs.
 
-hopcroft_karp works on plain index lists: the critical-difference reduction
-runs it on the host adjacency, max_matching_bipartite on a Graph with a
-checked bipartition. The general matching supplies mu(G) for the
-Konig-Egervary verdict: Edmonds' blossom contraction, one BFS alternating
-tree per unmatched vertex after a greedy seed. Blossom bases live in a
+Both kernels work on plain index lists. The critical structure runs each
+once per graph on the host adjacency: blossom gives mu(G) for the
+Konig-Egervary verdict, and its matching, doubled onto B(G), seeds
+hopcroft_karp, which then makes only the few augmentations left to reach
+n - d(G). max_matching_bipartite and max_matching_general wrap the kernels
+for a Graph. blossom is Edmonds' contraction, one BFS alternating tree per
+unmatched vertex after a greedy seed. Blossom bases live in a
 union-find (Gabow, J. ACM 23, 1976), the scratch arrays are allocated once
 per call and reset only where a search touched them, and the lowest common
 base is found by stamping, so one search works only on the vertices of its
@@ -27,6 +29,7 @@ __all__ = [
     "Matching",
     "BipartitePartition",
     "hopcroft_karp",
+    "blossom",
     "max_matching_bipartite",
     "min_vertex_cover_bipartite",
     "max_matching_general",
@@ -97,14 +100,21 @@ def _validate_partition(g: Graph, parts: BipartitePartition) -> None:
                 raise ValueError(f"edge inside one side of the bipartition at vertex {u}")
 
 
-def hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> tuple[list[int], list[int]]:
+def hopcroft_karp(
+    adj: Sequence[Sequence[int]],
+    n_right: int,
+    initial: tuple[list[int], list[int]] | None = None,
+) -> tuple[list[int], list[int]]:
     """Maximum bipartite matching; adj[u] lists the right indices (below
     n_right) adjacent to left index u. Returns (match_left, match_right):
-    each entry is the partner's index on the other side, or -1."""
+    each entry is the partner's index on the other side, or -1.
+
+    initial, a matching in that form to start from, is augmented in place
+    and returned, so a near-maximum start leaves few phases to run.
+    """
     n_left = len(adj)
     INF = n_left + 1
-    match_left = [-1] * n_left
-    match_right = [-1] * n_right
+    match_left, match_right = initial or ([-1] * n_left, [-1] * n_right)
     dist = [0] * n_left
 
     def bfs() -> int:
@@ -312,25 +322,32 @@ def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int]
     return augment
 
 
-def max_matching_general(g: Graph) -> Matching:
-    """Maximum matching in an arbitrary simple graph (handles odd cycles).
+def blossom(adj: Sequence[Sequence[int]]) -> list[int]:
+    """Maximum matching of the simple graph with adjacency lists adj, as a
+    mate list: mate[v] is v's partner, or -1 when v is unmatched.
 
     Greedy seed, then one blossom search per remaining unmatched vertex.
     """
-    n = g.n
+    n = len(adj)
     match = [-1] * n
     for v in range(n):
         if match[v] == -1:
-            for u in g.adj[v]:
+            for u in adj[v]:
                 if match[u] == -1:
                     match[v] = u
                     match[u] = v
                     break
-    augment = _augmenter(g.adj, match)
+    augment = _augmenter(adj, match)
     for v in range(n):
         if match[v] == -1:
             augment(v)
-    return Matching(g, ((u, match[u]) for u in range(n) if match[u] > u))
+    return match
+
+
+def max_matching_general(g: Graph) -> Matching:
+    """Maximum matching in an arbitrary simple graph (handles odd cycles)."""
+    mate = blossom(g.adj)
+    return Matching(g, ((u, mate[u]) for u in range(g.n) if mate[u] > u))
 
 
 def has_augmenting_path(g: Graph, m: Matching) -> bool:

@@ -216,24 +216,36 @@ def test_analyze_disconnected_mixed():
 
 
 def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
-    # Every answer comes from the one Hopcroft-Karp behind the cached
-    # structure; the double and the Konig cover are cross-checks only.
+    # Every answer comes from the one blossom and the one Hopcroft-Karp
+    # behind the cached structure, the latter seeded with the doubled
+    # blossom matching; the double and the Konig cover are cross-checks only.
     def refuse(*args, **kwargs):
         raise AssertionError("production path reached a cross-check")
 
     for name in ("bipartite_double", "max_matching_bipartite", "min_vertex_cover_bipartite"):
         monkeypatch.setattr(critical, name, refuse)
     calls = []
+    mates = []
     kernel = critical.hopcroft_karp
+    blossom = critical.blossom
 
-    def counted(adj, n_right):
-        calls.append(n_right)
-        return kernel(adj, n_right)
+    def counted(*args):
+        calls.append([side[:] for side in args[2]] if len(args) > 2 else None)
+        return kernel(*args)
+
+    def counted_blossom(adj):
+        mate = blossom(adj)
+        mates.append(mate[:])
+        return mate
 
     monkeypatch.setattr(critical, "hopcroft_karp", counted)
+    monkeypatch.setattr(critical, "blossom", counted_blossom)
     inputs = [fixture(name) for name in ("G1", "G2", "GF")]
     inputs += [generate(spec) for spec in corpus_specs(50, 0, 12, [0.1, 0.3, 0.5, 0.8], 20260809)]
     for g in inputs:
         calls.clear()
+        mates.clear()
         assert analyze(g, include_checks=True).ok
         assert len(calls) == 1
+        assert len(mates) == 1
+        assert calls[0] == [mates[0], mates[0]]

@@ -17,6 +17,7 @@ from critind import (
     find_critical_independent_set,
     forced_difference,
     gnp,
+    hopcroft_karp,
     independence_profile,
     induced_subgraph,
     is_independent,
@@ -288,6 +289,18 @@ def test_find_critical_matches_konig_cover_beyond_oracle_bound(n, c):
 def test_d_matches_networkx_beyond_oracle_bound(n, c):
     g = sparse_graph(n, c, seed=7 * n + c)
     assert critical_difference(g) == networkx_d(g)
+
+
+@pytest.mark.parametrize(("n", "c"), [(200, 2), (500, 3), (800, 4), (1000, 5), (1500, 2), (1500, 5)])
+def test_warm_start_matches_cold_matchings_beyond_oracle_bound(n, c):
+    # The structure's HK starts from the doubled blossom matching; a cold HK
+    # and the public blossom wrapper check both numbers it yields.
+    g = sparse_graph(n, c, seed=13 * n + c)
+    cold_left, _ = hopcroft_karp(g.adj, n)
+    mu = critical.matching_number(g)
+    assert critical_difference(g) == n - sum(j != -1 for j in cold_left)
+    assert mu == max_matching_general(g).size
+    assert n - critical_difference(g) >= 2 * mu
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -321,3 +323,35 @@ def test_konig_on_random_bipartite(data):
     assert all(match_left[u] == j for j, u in enumerate(match_right) if u != -1)
     assert all(g.has_edge(u, nl + j) for u, j in enumerate(match_left) if j != -1)
     assert sum(j != -1 for j in match_left) == m.size
+
+
+def check_warm_start(adj, n_right, rnd):
+    """HK started from a random maximal matching ends at the cold size."""
+    pairs = [(u, w) for u in range(len(adj)) for w in adj[u]]
+    rnd.shuffle(pairs)
+    initial = ([-1] * len(adj), [-1] * n_right)
+    for u, w in pairs:
+        if initial[0][u] == -1 and initial[1][w] == -1:
+            initial[0][u] = w
+            initial[1][w] = u
+    cold_left, _ = hopcroft_karp(adj, n_right)
+    match_left, match_right = hopcroft_karp(adj, n_right, initial)
+    assert all(match_right[j] == u for u, j in enumerate(match_left) if j != -1)
+    assert all(match_left[u] == j for j, u in enumerate(match_right) if u != -1)
+    assert all(j in adj[u] for u, j in enumerate(match_left) if j != -1)
+    assert sum(j != -1 for j in match_left) == sum(j != -1 for j in cold_left)
+
+
+@settings(max_examples=80)
+@given(bipartite_graphs(max_side=6), st.randoms(use_true_random=False))
+def test_warm_started_hopcroft_karp_on_random_bipartite(data, rnd):
+    g, left, right = data
+    nl = len(left)
+    check_warm_start([[w - nl for w in g.adj[u]] for u in range(nl)], len(right), rnd)
+
+
+@pytest.mark.parametrize(("n", "c"), [(200, 2), (1000, 3), (1500, 5)])
+def test_warm_started_hopcroft_karp_beyond_oracle_bound(n, c):
+    # The host adjacency read as B(G), as the critical structure runs it.
+    g = sparse_graph(n, c, seed=17 * n + c)
+    check_warm_start(g.adj, n, random.Random(n + c))
