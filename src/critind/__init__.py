@@ -5,9 +5,6 @@ from .analysis import (
     KEVerdicts,
     TheoremCheckResult,
     analyze,
-    fast_oracle_consistency,
-    ke_verdicts,
-    verify_theorems,
 )
 from .critical import (
     BipartiteDouble,
@@ -29,7 +26,6 @@ from .graph import (
     Graph,
     ParseError,
     bipartite_gnp,
-    complement_set,
     difference,
     disjoint_union,
     fixture,

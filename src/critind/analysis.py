@@ -1,9 +1,15 @@
 """Konig-Egervary verdicts, whole-theorem verification, and report assembly.
 
-The verdict is rendered four provably equivalent ways; a disagreement anywhere
-is an implementation bug and is surfaced as a failed report, never swallowed.
-Checks that need exponential enumeration run only within the oracle bound and
-are otherwise reported as skipped, explicitly.
+analyze is the one entry point. It computes each polynomial answer once
+(d, mu, I, X and the diadem, from the cached critical structure), then,
+within the oracle bound, the oracle's profile and critical family, the
+four Konig-Egervary verdicts, and the theorem and consistency checks. The
+checks read those answers from the report rather than recomputing them, and
+run the matching kernels on index lists: hopcroft_karp for the L4 witness
+and blossom for mu(G[X]). The verdict is rendered four provably equivalent
+ways; a disagreement anywhere is an implementation bug and is surfaced as a
+failed report, never swallowed. Beyond the oracle bound the oracle-backed
+fields are reported as skipped, explicitly.
 """
 
 from __future__ import annotations
@@ -20,9 +26,6 @@ __all__ = [
     "KEVerdicts",
     "TheoremCheckResult",
     "AnalysisReport",
-    "ke_verdicts",
-    "verify_theorems",
-    "fast_oracle_consistency",
     "analyze",
 ]
 
@@ -77,60 +80,24 @@ class TheoremCheckResult:
         }
 
 
-def _oracle_pieces(
-    g: Graph, bound: int
-) -> tuple[IndependenceProfile, CriticalFamily, int]:
-    prof = oracle.independence_profile(g, bound)
-    fam = oracle.critical_family(g, bound)
-    mu = critical.matching_number(g)
-    return prof, fam, mu
-
-
-def ke_verdicts(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> KEVerdicts:
-    """All four verdicts; raises OracleBoundError beyond the oracle bound."""
-    prof, fam, mu = _oracle_pieces(g, bound)
-    return _verdicts_from(g, prof, fam, mu)
-
-
-def _verdicts_from(
-    g: Graph, prof: IndependenceProfile, fam: CriticalFamily, mu: int
-) -> KEVerdicts:
-    d = fam.d
-    return KEVerdicts(
-        by_definition=prof.alpha + mu == g.n,
-        by_all_mis_critical=all(difference(g, s) == d for s in prof.omega_family),
-        by_diadem_corona=fam.diadem == prof.corona,
-        by_counting=len(fam.diadem) + len(fam.nucleus) == 2 * prof.alpha,
-    )
-
-
-def verify_theorems(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> list[TheoremCheckResult]:
-    """Run every theorem/lemma check on g; every holds flag must be true."""
-    prof, fam, mu = _oracle_pieces(g, bound)
-    decomp = critical.decompose(g)
-    return _run_checks(g, prof, fam, mu, decomp, bound)
-
-
 def _run_checks(
-    g: Graph,
-    prof: IndependenceProfile,
-    fam: CriticalFamily,
-    mu: int,
-    decomp: critical.Decomposition,
-    bound: int,
+    report: AnalysisReport, prof: IndependenceProfile, fam: CriticalFamily
 ) -> list[TheoremCheckResult]:
     checks: list[TheoremCheckResult] = []
-    d = fam.d
+    g = report.graph
+    bound = report.oracle_bound
+    verdicts = report.verdicts
+    assert verdicts is not None
     alpha = prof.alpha
-    ke = alpha + mu == g.n
-    x, xc = decomp.X, decomp.Xc
+    ke = verdicts.is_ke
+    x, xc = report.decomposition.X, report.decomposition.Xc
 
     gx, back_x = induced_subgraph(g, x)
     gxc, _ = induced_subgraph(g, xc)
     prof_x = oracle.independence_profile(gx, bound)
     fam_x = oracle.critical_family(gx, bound)
     prof_xc = oracle.independence_profile(gxc, bound)
-    mu_x = matching.max_matching_general(gx).size
+    mu_x = (gx.n - matching.blossom(gx.adj).count(-1)) // 2
 
     def lift(s: frozenset[int]) -> frozenset[int]:
         return frozenset(back_x[i] for i in s)
@@ -139,7 +106,7 @@ def _run_checks(
     diadem_x = lift(fam_x.diadem)
 
     # T1: KE iff every maximum independent set is critical.
-    all_mis_critical = all(difference(g, s) == d for s in prof.omega_family)
+    all_mis_critical = verdicts.by_all_mis_critical
     checks.append(
         TheoremCheckResult(
             "T1",
@@ -268,39 +235,25 @@ def _run_checks(
     )
 
     # L4-matching: nucleus(G) \ nucleus(G[X]) admits a saturating matching
-    # into diadem(G[X]) \ diadem(G).
+    # into diadem(G[X]) \ diadem(G). Both sides are numbered in index order.
     a_side = fam.nucleus - nucleus_x
     b_side = diadem_x - fam.diadem
-    witness: list[list[str]] = []
-    if a_side:
-        verts = sorted(a_side | b_side)
-        pos = {v: i for i, v in enumerate(verts)}
-        cross = [
-            (pos[u], pos[w])
-            for u in a_side
-            for w in g.adj[u]
-            if w in b_side
-        ]
-        sub = Graph([g.labels[v] for v in verts], cross)
-        parts = matching.BipartitePartition(
-            frozenset(pos[v] for v in a_side), frozenset(pos[v] for v in b_side)
-        )
-        mm = matching.max_matching_bipartite(sub, parts)
-        witness = sorted(sorted((sub.labels[u], sub.labels[v])) for u, v in mm.edges)
-        sat = mm.size
-        l4m = sat == len(a_side)
-    else:
-        sat = 0
-        l4m = True
+    left = sorted(a_side)
+    right = sorted(b_side)
+    col = {w: j for j, w in enumerate(right)}
+    match_left, _ = matching.hopcroft_karp(
+        [[col[w] for w in g.adj[u] if w in col] for u in left], len(right)
+    )
+    pairs = [(g.labels[u], g.labels[right[j]]) for u, j in zip(left, match_left) if j != -1]
     checks.append(
         TheoremCheckResult(
             "L4-matching",
-            l4m,
+            len(pairs) == len(a_side),
             detail={
                 "A": label_set(g, a_side),
                 "target": label_set(g, b_side),
-                "saturated": sat,
-                "matching": witness,
+                "saturated": len(pairs),
+                "matching": sorted(sorted(pair) for pair in pairs),
             },
         )
     )
@@ -327,19 +280,10 @@ def _run_checks(
     return checks
 
 
-def fast_oracle_consistency(
-    g: Graph, bound: int = DEFAULT_ORACLE_BOUND
-) -> list[TheoremCheckResult]:
-    """Cross-check every polynomial path against the exhaustive oracle."""
-    prof, fam, mu = _oracle_pieces(g, bound)
-    return _run_consistency(g, prof, fam, mu, bound)
-
-
-def _run_consistency(
-    g: Graph, prof: IndependenceProfile, fam: CriticalFamily, mu: int, bound: int
-) -> list[TheoremCheckResult]:
+def _run_consistency(report: AnalysisReport, fam: CriticalFamily) -> list[TheoremCheckResult]:
     checks: list[TheoremCheckResult] = []
-    d_fast = critical.critical_difference(g)
+    g = report.graph
+    d_fast = report.d
 
     checks.append(
         TheoremCheckResult(
@@ -366,7 +310,7 @@ def _run_consistency(
             )
         )
 
-    i_fast = critical.max_critical_independent_set(g)
+    i_fast = report.decomposition.I
     oracle_max = max((len(s) for s in fam.maximum_critical_independent), default=0)
     checks.append(
         TheoremCheckResult(
@@ -392,7 +336,7 @@ def _run_consistency(
         )
     )
 
-    diadem_fast = critical.diadem(g)
+    diadem_fast = report.diadem
     checks.append(
         TheoremCheckResult(
             "EQ-diadem",
@@ -401,12 +345,12 @@ def _run_consistency(
         )
     )
 
-    mu_oracle = oracle.mu_exact(g, bound)
+    mu_oracle = oracle.mu_exact(g, report.oracle_bound)
     checks.append(
         TheoremCheckResult(
             "EQ-mu",
-            mu == mu_oracle,
-            detail={"blossom": mu, "oracle": mu_oracle},
+            report.mu == mu_oracle,
+            detail={"blossom": report.mu, "oracle": mu_oracle},
         )
     )
 
@@ -585,12 +529,17 @@ def analyze(
     report.corona = prof.corona
     report.ker = fam.ker
     report.nucleus = fam.nucleus
-    report.verdicts = _verdicts_from(g, prof, fam, mu)
+    report.verdicts = KEVerdicts(
+        by_definition=prof.alpha + mu == g.n,
+        by_all_mis_critical=all(difference(g, s) == fam.d for s in prof.omega_family),
+        by_diadem_corona=fam.diadem == prof.corona,
+        by_counting=len(fam.diadem) + len(fam.nucleus) == 2 * prof.alpha,
+    )
     timings["oracle"] = time.perf_counter() - t1
 
     if include_checks:
         t2 = time.perf_counter()
-        report.checks = _run_checks(g, prof, fam, mu, decomp, oracle_bound)
-        report.consistency = _run_consistency(g, prof, fam, mu, oracle_bound)
+        report.checks = _run_checks(report, prof, fam)
+        report.consistency = _run_consistency(report, fam)
         timings["checks"] = time.perf_counter() - t2
     return report

@@ -62,7 +62,6 @@ class BipartiteDouble:
     vertices and 2m edges and no edges within a side.
     """
 
-    host: Graph
     double: Graph
     parts: BipartitePartition
 
@@ -94,7 +93,7 @@ def bipartite_double(g: Graph) -> BipartiteDouble:
     edges = [(u, n + v) for u in range(n) for v in g.adj[u]]
     double = Graph(labels, edges)
     parts = BipartitePartition(frozenset(range(n)), frozenset(range(n, 2 * n)))
-    return BipartiteDouble(g, double, parts)
+    return BipartiteDouble(double, parts)
 
 
 class _CriticalStructure:

@@ -22,7 +22,6 @@ __all__ = [
     "difference",
     "is_independent",
     "induced_subgraph",
-    "complement_set",
     "label_set",
     "generate",
     "gnp",
@@ -57,13 +56,13 @@ class Graph:
     functions over Graph values, so instances are safe to share.
     """
 
-    __slots__ = ("labels", "adj", "adj_sets", "n", "m", "_index", "__weakref__")
+    __slots__ = ("labels", "adj", "n", "m", "_index", "__weakref__")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]]):
         labels = tuple(labels)
         index: dict[str, int] = {}
         for i, name in enumerate(labels):
-            if not name or any(ch.isspace() for ch in name) or "#" in name:
+            if name.split() != [name] or "#" in name:  # empty, or holds whitespace
                 raise ValueError(f"invalid vertex label {name!r}")
             if name in index:
                 raise ValueError(f"duplicate vertex label {name!r}")
@@ -81,7 +80,6 @@ class Graph:
         self.n = n
         self.m = sum(len(s) for s in nbrs) // 2
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
-        self.adj_sets = tuple(frozenset(s) for s in nbrs)
         self._index = index
 
     @classmethod
@@ -101,14 +99,11 @@ class Graph:
         return frozenset(self.index_of(name) for name in names)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj_sets[u]
+        return v in self.adj[u]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
@@ -141,7 +136,7 @@ def difference(g: Graph, s: Iterable[int]) -> int:
 def is_independent(g: Graph, s: Iterable[int]) -> bool:
     """True iff no edge of g joins two members of S."""
     fs = check_vertex_set(g, s)
-    return all(not (g.adj_sets[v] & fs) for v in fs)
+    return not any(w in fs for v in fs for w in g.adj[v])
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -161,12 +156,6 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     ]
     sub = Graph([g.labels[v] for v in back], edges)
     return sub, back
-
-
-def complement_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    """V(g) minus S."""
-    fs = check_vertex_set(g, s)
-    return frozenset(range(g.n)) - fs
 
 
 def label_set(g: Graph, s: Iterable[int]) -> list[str]:

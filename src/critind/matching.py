@@ -6,8 +6,10 @@ once per graph on the host adjacency: blossom gives mu(G) for the
 Konig-Egervary verdict, and its matching, doubled onto B(G), seeds
 hopcroft_karp, which then makes only the few augmentations left to reach
 n - d(G). max_matching_bipartite and max_matching_general wrap the kernels
-for a Graph. blossom is Edmonds' contraction, one BFS alternating tree per
-unmatched vertex after a greedy seed. Blossom bases live in a
+for a Graph and validate the result as a Matching; they are cross-checks,
+and no production answer goes through them. blossom is Edmonds'
+contraction, one BFS alternating tree per unmatched vertex after a greedy
+seed. Blossom bases live in a
 union-find (Gabow, J. ACM 23, 1976), the scratch arrays are allocated once
 per call and reset only where a search touched them, and the lowest common
 base is found by stamping, so one search works only on the vertices of its
@@ -75,9 +77,6 @@ class Matching:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
 
 @dataclass(frozen=True)
 class BipartitePartition:
@@ -96,7 +95,7 @@ def _validate_partition(g: Graph, parts: BipartitePartition) -> None:
         raise ValueError("bipartition does not cover the vertex set")
     for side in (left, right):
         for u in side:
-            if g.adj_sets[u] & side:
+            if any(w in side for w in g.adj[u]):
                 raise ValueError(f"edge inside one side of the bipartition at vertex {u}")
 
 

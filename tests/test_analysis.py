@@ -2,6 +2,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critind import (
     AnalysisReport,
@@ -11,17 +12,14 @@ from critind import (
     TheoremCheckResult,
     analyze,
     bipartite_gnp,
-    fast_oracle_consistency,
     fixture,
     generate,
     gnp,
-    ke_verdicts,
     label_set,
-    verify_theorems,
 )
-from critind import critical
+from critind import analysis, critical, matching
 from critind.cli import corpus_specs
-from strategies import graphs
+from strategies import graphs, permuted
 
 EXPECTED_CHECK_IDS = [
     "B", "C", "K", "L1", "L2", "L4", "L4-matching",
@@ -31,42 +29,43 @@ EXPECTED_CHECK_IDS = [
 
 class TestVerdicts:
     def test_g1_all_true(self, g1):
-        v = ke_verdicts(g1)
+        v = analyze(g1).verdicts
         assert v.by_definition and v.by_all_mis_critical
         assert v.by_diadem_corona and v.by_counting
         assert v.agree and v.is_ke
 
     def test_g2_all_false(self, g2):
-        v = ke_verdicts(g2)
+        v = analyze(g2).verdicts
         assert not (v.by_definition or v.by_all_mis_critical or v.by_diadem_corona or v.by_counting)
         assert v.agree and not v.is_ke
 
     def test_k0_all_true(self, k0):
-        v = ke_verdicts(k0)
+        v = analyze(k0).verdicts
         assert v.agree and v.is_ke
 
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundError):
-            ke_verdicts(gnp(25, 0.2, 1))
+            analyze(gnp(25, 0.2, 1), require_oracle=True)
+        assert analyze(gnp(25, 0.2, 1)).verdicts is None
 
     @settings(max_examples=30)
     @given(graphs(max_n=9))
     def test_all_four_agree(self, g):
-        assert ke_verdicts(g).agree
+        assert analyze(g, include_checks=False).verdicts.agree
 
     def test_bipartite_always_ke(self):
         for seed in range(10):
             g = bipartite_gnp(4, 5, 0.5, seed)
-            assert ke_verdicts(g).is_ke
+            assert analyze(g, include_checks=False).verdicts.is_ke
 
 
 class TestVerifyTheorems:
     def test_check_ids(self, g1):
-        checks = verify_theorems(g1)
+        checks = analyze(g1).checks
         assert [c.id for c in checks] == EXPECTED_CHECK_IDS
 
     def test_g2_all_hold_with_vacuous_ke_checks(self, g2):
-        by_id = {c.id: c for c in verify_theorems(g2)}
+        by_id = {c.id: c for c in analyze(g2).checks}
         assert all(c.holds for c in by_id.values())
         assert not by_id["T4"].applicable
         assert not by_id["T5"].applicable
@@ -76,20 +75,20 @@ class TestVerifyTheorems:
         assert by_id["T7"].detail["two_alpha"] == 10
 
     def test_g1_tight_counting(self, g1):
-        by_id = {c.id: c for c in verify_theorems(g1)}
+        by_id = {c.id: c for c in analyze(g1).checks}
         assert by_id["T5"].applicable and by_id["T5"].holds
         assert by_id["T5"].detail["nucleus_plus_diadem"] == 8
         assert by_id["T5"].detail["two_alpha"] == 8
 
     def test_gf_corollary_chain_values(self, gf):
-        by_id = {c.id: c for c in verify_theorems(gf)}
+        by_id = {c.id: c for c in analyze(gf).checks}
         assert by_id["C"].holds
         assert by_id["C"].detail["nucleus_plus_diadem"] == 6
         assert by_id["C"].detail["two_alpha"] == 10
         assert by_id["C"].detail["core_plus_corona"] == 10
 
     def test_g2_l4_matching_witness(self, g2):
-        by_id = {c.id: c for c in verify_theorems(g2)}
+        by_id = {c.id: c for c in analyze(g2).checks}
         assert by_id["L4-matching"].holds
         # nucleus(G) \ nucleus(G[X]) = {d} saturates into diadem(G[X]) \ diadem(G) = {g}.
         assert by_id["L4-matching"].detail["A"] == ["d"]
@@ -97,19 +96,19 @@ class TestVerifyTheorems:
         assert by_id["L4-matching"].detail["saturated"] == 1
 
     def test_k0_all_hold(self, k0):
-        checks = verify_theorems(k0)
+        checks = analyze(k0).checks
         assert all(c.holds for c in checks)
 
     @settings(max_examples=40)
     @given(graphs(max_n=9))
     def test_every_check_holds(self, g):
-        assert all(c.holds for c in verify_theorems(g))
+        assert all(c.holds for c in analyze(g).checks)
 
 
 @settings(max_examples=40)
 @given(graphs(max_n=9))
 def test_fast_oracle_consistency_holds(g):
-    assert all(c.holds for c in fast_oracle_consistency(g))
+    assert all(c.holds for c in analyze(g).consistency)
 
 
 class TestAnalyze:
@@ -219,11 +218,16 @@ def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
     # Every answer comes from the one blossom and the one Hopcroft-Karp
     # behind the cached structure, the latter seeded with the doubled
     # blossom matching; the double and the Konig cover are cross-checks only.
+    # The checks run the matching kernels on index lists, so no Graph of
+    # analysis.py's own, no Matching and no BipartitePartition is built.
     def refuse(*args, **kwargs):
         raise AssertionError("production path reached a cross-check")
 
     for name in ("bipartite_double", "max_matching_bipartite", "min_vertex_cover_bipartite"):
         monkeypatch.setattr(critical, name, refuse)
+    for name in ("max_matching_general", "max_matching_bipartite", "Matching", "BipartitePartition"):
+        monkeypatch.setattr(matching, name, refuse)
+    monkeypatch.setattr(analysis, "Graph", refuse)
     calls = []
     mates = []
     kernel = critical.hopcroft_karp
@@ -249,3 +253,29 @@ def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
         assert len(calls) == 1
         assert len(mates) == 1
         assert calls[0] == [mates[0], mates[0]]
+
+
+@st.composite
+def _beside_g2(draw):
+    """A small graph beside a copy of G2, whose L4 witness is nonempty, with
+    the vertex order shuffled."""
+    g = draw(graphs(max_n=6))
+    g2 = fixture("G2")
+    labels = list(g.labels) + ["g2" + label for label in g2.labels]
+    edges = g.edges() + [(g.n + u, g.n + v) for u, v in g2.edges()]
+    return permuted(Graph(labels, edges), draw(st.randoms(use_true_random=False)))
+
+
+@settings(max_examples=60)
+@given(graphs(max_n=10) | _beside_g2())
+def test_l4_matching_witness_pairs_are_edges_from_a_to_target(g):
+    # The witness comes straight from hopcroft_karp on index lists, with no
+    # Matching to validate it, so check each pair against G here.
+    detail = {c.id: c for c in analyze(g).checks}["L4-matching"].detail
+    a_side, target = set(detail["A"]), set(detail["target"])
+    ends = [v for pair in detail["matching"] for v in pair]
+    assert len(ends) == len(set(ends)) == 2 * detail["saturated"]
+    for x, y in detail["matching"]:
+        u, w = (x, y) if x in a_side else (y, x)
+        assert u in a_side and w in target
+        assert g.has_edge(g.index_of(u), g.index_of(w))

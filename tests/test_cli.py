@@ -1,11 +1,15 @@
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critind import DEFAULT_ORACLE_BOUND, gnp, parse_graph, to_edge_list
 from critind.cli import MAX_ORACLE_BOUND, main
 from critind.graph import MAX_DIMACS_VERTICES
+from strategies import graphs
 
 G1_TEXT = "7 7\na e\nb e\nc e\nc f\nc g\nd g\nf g\n"
 
@@ -257,3 +261,57 @@ class TestGenerateCommand:
         code, out, _ = run(capsys, "analyze", "--input", str(path))
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+
+def _dimacs(g):
+    lines = [f"p edge {g.n} {g.m}"] + [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
+
+
+# Bytes that move a graph text between its syntactic cases, mixed with any byte.
+_MUTATION_BYTES = st.sampled_from(list(b"0123456789 -\n\t#cpe")) | st.integers(0, 255)
+
+
+@st.composite
+def _mutated_graph_text(draw):
+    """Edge-list or DIMACS text of a graph with n <= 10, then up to three
+    byte replacements, insertions or deletions."""
+    g = draw(graphs(max_n=10))
+    text = bytearray((to_edge_list(g) if draw(st.booleans()) else _dimacs(g)).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        if op == "insert":
+            text.insert(i, draw(_MUTATION_BYTES))
+        elif i < len(text):
+            if op == "replace":
+                text[i] = draw(_MUTATION_BYTES)
+            else:
+                del text[i]
+    return bytes(text)
+
+
+@st.composite
+def _analyze_flags(draw):
+    flags = ["--format", draw(st.sampled_from(["edge_list", "dimacs"]))]
+    flags += ["--output", draw(st.sampled_from(["json", "text"]))]
+    flags += ["--oracle-bound", str(draw(st.integers(0, 16)))]
+    flags += [flag for flag in ("--skip-checks", "--full") if draw(st.booleans())]
+    return flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=200) | _mutated_graph_text(), _analyze_flags())
+def test_fuzzed_input_and_flags_exit_0_2_or_3(tmp_path_factory, data, flags):
+    # Malformed input maps to 2 and a refused oracle to 3; 1 would be a
+    # failed check, and anything else escaping main is a traceback.
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["analyze", "--input", str(path), *flags])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

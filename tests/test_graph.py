@@ -2,13 +2,13 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critind import (
     GeneratorSpec,
     Graph,
     ParseError,
     bipartite_gnp,
-    complement_set,
     difference,
     disjoint_union,
     fixture,
@@ -122,6 +122,21 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph([""], [])
 
+    @settings(max_examples=300)
+    @given(
+        st.text()
+        | st.text(st.sampled_from([chr(c) for c in range(0x3001) if chr(c).isspace()] + ["a", "#"]))
+    )
+    def test_label_check_matches_per_character_whitespace_test(self, name):
+        # The reference is the per-character test the constructor once ran.
+        bad = not name or any(ch.isspace() for ch in name) or "#" in name
+        try:
+            Graph([name], [])
+        except ValueError:
+            assert bad
+        else:
+            assert not bad
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph(["a", "b"], [(0, 0)])
@@ -173,9 +188,6 @@ class TestSetPrimitives:
     def test_induced_empty_is_k0(self, g1):
         sub, _ = induced_subgraph(g1, [])
         assert sub.n == 0 and sub.m == 0
-
-    def test_complement_set(self, g1):
-        assert complement_set(g1, g1.indices("abc")) == g1.indices("defg")
 
     def test_label_set_sorted(self, g1):
         assert label_set(g1, g1.indices("gcb")) == ["b", "c", "g"]
