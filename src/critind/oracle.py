@@ -29,6 +29,8 @@ DEFAULT_ORACLE_BOUND = 20
 
 # Exhaustive 2^n subset scans get a tighter default than the branch-and-bound
 # enumerations; they exist to cross-check the reduction identity on small graphs.
+# Each scan costs one OR per mask and keeps a table of up to 2^n entries: a few
+# MB at 16, doubling with every vertex above it.
 DEFAULT_SUBSET_SCAN_BOUND = 16
 
 
@@ -263,25 +265,24 @@ def max_difference_exhaustive(
     """Max of d(X) over all 2^n subsets (or only the independent ones).
 
     A plain exhaustive scan, kept deliberately independent from the
-    branch-and-bound paths so the two can cross-check each other.
+    branch-and-bound paths so the two can cross-check each other. N(X) is
+    tabulated by doubling: once vertices 0..v-1 are in, the table for the
+    masks with bit v set is the old table with adj[v] OR-ed in, so each mask
+    costs one OR. The table holds up to 2^n entries, a few MB at the default
+    bound of 16; a caller who raises `bound` accepts memory that grows as 2^n.
+    With `independent_only` the table keeps (mask, N(mask)) pairs for the
+    independent masks alone: a mask below 1 << v stays independent with v
+    added exactly when it misses adj[v].
     """
     _require(g, bound, "max_difference_exhaustive")
     adj = adjacency_masks(g)
-    n = g.n
-    best = 0
-    for mask in range(1 << n):
-        nbrs = 0
-        size = 0
-        a = mask
-        while a:
-            b = a & -a
-            v = b.bit_length() - 1
-            a ^= b
-            nbrs |= adj[v]
-            size += 1
-        if independent_only and (nbrs & mask):
-            continue
-        d = size - nbrs.bit_count()
-        if d > best:
-            best = d
-    return best
+    if not independent_only:
+        nbrs = [0]
+        for av in adj:
+            nbrs += [nb | av for nb in nbrs]
+        return max(mask.bit_count() - nb.bit_count() for mask, nb in enumerate(nbrs))
+    pairs = [(0, 0)]
+    for v, av in enumerate(adj):
+        b = 1 << v
+        pairs += [(mask | b, nb | av) for mask, nb in pairs if not mask & av]
+    return max(mask.bit_count() - nb.bit_count() for mask, nb in pairs)

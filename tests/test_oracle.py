@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -112,6 +114,28 @@ class TestMuExact:
             mu_exact(edgeless(23))
 
 
+def per_mask_reference(g, independent_only):
+    """The scan as a per-mask loop: N(X) rebuilt bit by bit for each of the 2^n masks."""
+    adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
+    best = 0
+    for mask in range(1 << g.n):
+        nbrs = 0
+        size = 0
+        a = mask
+        while a:
+            b = a & -a
+            v = b.bit_length() - 1
+            a ^= b
+            nbrs |= adj[v]
+            size += 1
+        if independent_only and (nbrs & mask):
+            continue
+        d = size - nbrs.bit_count()
+        if d > best:
+            best = d
+    return best
+
+
 class TestSubsetScans:
     def test_matches_branch_and_bound(self):
         for seed in range(20):
@@ -122,6 +146,32 @@ class TestSubsetScans:
         for seed in range(20):
             g = gnp(10, 0.3, seed)
             assert max_difference_exhaustive(g, False) == max_difference_exhaustive(g, True)
+
+    @settings(max_examples=80)
+    @given(graphs(max_n=12))
+    def test_matches_per_mask_reference(self, g):
+        for independent_only in (False, True):
+            assert max_difference_exhaustive(g, independent_only) == per_mask_reference(g, independent_only)
+
+    @pytest.mark.parametrize(
+        "g",
+        [edgeless(0), edgeless(1), gnp(16, 0.0, 3), gnp(16, 0.5, 3)],
+        ids=["n0", "n1", "n16-p0.0", "n16-p0.5"],
+    )
+    def test_explicit_sizes_match_per_mask_reference(self, g):
+        for independent_only in (False, True):
+            assert max_difference_exhaustive(g, independent_only) == per_mask_reference(g, independent_only)
+
+    @pytest.mark.parametrize("g", [edgeless(16), gnp(16, 0.5, 3)], ids=["edgeless", "p0.5"])
+    def test_peak_memory_at_default_bound(self, g):
+        tracemalloc.start()
+        try:
+            max_difference_exhaustive(g, False)
+            max_difference_exhaustive(g, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundError):
