@@ -14,9 +14,10 @@ fields are reported as skipped, explicitly.
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable
 
 from . import critical, matching, oracle
 from .graph import Graph, difference, induced_subgraph, is_independent, label_set, neighborhood
@@ -28,6 +29,16 @@ __all__ = [
     "AnalysisReport",
     "analyze",
 ]
+
+
+# The report's one marker for a field the oracle bound left unfilled.
+_SKIPPED = {"skipped": True}
+
+# The text report's lines after the graph line, in order.
+_TEXT_FIELDS = (
+    "d", "mu", "I", "X", "Xc", "diadem", "alpha", "core", "corona", "ker", "nucleus",
+    "verdicts", "ke", "checks", "consistency", "ok",
+)
 
 
 @dataclass(frozen=True)
@@ -53,13 +64,7 @@ class KEVerdicts:
         return self.by_definition
 
     def to_json(self) -> dict[str, bool]:
-        return {
-            "by_definition": self.by_definition,
-            "by_all_mis_critical": self.by_all_mis_critical,
-            "by_diadem_corona": self.by_diadem_corona,
-            "by_counting": self.by_counting,
-            "agree": self.agree,
-        }
+        return {**asdict(self), "agree": self.agree}
 
 
 @dataclass(frozen=True)
@@ -72,12 +77,7 @@ class TheoremCheckResult:
     detail: dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "holds": self.holds,
-            "applicable": self.applicable,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _run_checks(
@@ -380,107 +380,83 @@ class AnalysisReport:
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
+    def failures(self) -> list[str]:
+        """Ids of the failed checks and consistency checks, plus
+        "verdict-agreement" when the verdicts disagree. Each is a bug."""
+        groups = (self.checks or [], self.consistency or [])
+        bad = [c.id for group in groups for c in group if not c.holds]
+        if self.verdicts is not None and not self.verdicts.agree:
+            bad.append("verdict-agreement")
+        return bad
+
+    @property
     def ok(self) -> bool:
         """False only on an internal inconsistency, which is always a bug."""
-        if not self.oracle_applied:
-            return True
-        assert self.verdicts is not None
-        good = self.verdicts.agree
-        for group in (self.checks, self.consistency):
-            if group:
-                good = good and all(c.holds for c in group)
-        return good
-
-    def _set(self, s: frozenset[int] | None) -> Any:
-        if s is None:
-            return {"skipped": True}
-        return label_set(self.graph, s)
+        return not self.failures
 
     def to_json_dict(self) -> dict[str, Any]:
         g = self.graph
-        out: dict[str, Any] = {
+
+        def opt(value: Any, render: Callable[[Any], Any] = lambda v: v) -> Any:
+            return dict(_SKIPPED) if value is None else render(value)
+
+        def sets(s: frozenset[int]) -> list[str]:
+            return label_set(g, s)
+
+        def checks(group: list[TheoremCheckResult]) -> list[dict[str, Any]]:
+            return [c.to_json() for c in group]
+
+        return {
             "graph": {"n": g.n, "m": g.m},
             "d": self.d,
             "mu": self.mu,
             "decomposition": {
-                "I": label_set(g, self.decomposition.I),
-                "X": label_set(g, self.decomposition.X),
-                "Xc": label_set(g, self.decomposition.Xc),
+                "I": sets(self.decomposition.I),
+                "X": sets(self.decomposition.X),
+                "Xc": sets(self.decomposition.Xc),
             },
-            "diadem": label_set(g, self.diadem),
+            "diadem": sets(self.diadem),
             "oracle": {"applied": self.oracle_applied, "bound": self.oracle_bound},
-            "alpha": self.alpha if self.alpha is not None else {"skipped": True},
-            "core": self._set(self.core),
-            "corona": self._set(self.corona),
-            "ker": self._set(self.ker),
-            "nucleus": self._set(self.nucleus),
-            "verdicts": self.verdicts.to_json() if self.verdicts else {"skipped": True},
-            "checks": (
-                [c.to_json() for c in self.checks]
-                if self.checks is not None
-                else {"skipped": True}
-            ),
-            "consistency": (
-                [c.to_json() for c in self.consistency]
-                if self.consistency is not None
-                else {"skipped": True}
-            ),
-            "ke": self.verdicts.is_ke if self.verdicts else {"skipped": True},
+            "alpha": opt(self.alpha),
+            "core": opt(self.core, sets),
+            "corona": opt(self.corona, sets),
+            "ker": opt(self.ker, sets),
+            "nucleus": opt(self.nucleus, sets),
+            "verdicts": opt(self.verdicts, KEVerdicts.to_json),
+            "checks": opt(self.checks, checks),
+            "consistency": opt(self.consistency, checks),
+            "ke": opt(self.verdicts, lambda v: v.is_ke),
             "ok": self.ok,
             "timings": self.timings,
         }
-        return out
 
     def to_text(self) -> str:
-        g = self.graph
-
-        def fmt(s: frozenset[int] | None) -> str:
-            if s is None:
-                return "skipped"
-            return "{" + ",".join(label_set(g, s)) + "}"
-
-        lines = [
-            f"graph n={g.n} m={g.m}",
-            f"d {self.d}",
-            f"mu {self.mu}",
-            f"I {fmt(self.decomposition.I)}",
-            f"X {fmt(self.decomposition.X)}",
-            f"Xc {fmt(self.decomposition.Xc)}",
-            f"diadem {fmt(self.diadem)}",
-            f"alpha {self.alpha if self.alpha is not None else 'skipped'}",
-            f"core {fmt(self.core)}",
-            f"corona {fmt(self.corona)}",
-            f"ker {fmt(self.ker)}",
-            f"nucleus {fmt(self.nucleus)}",
-        ]
-        if self.verdicts is not None:
-            v = self.verdicts
-            lines.append(
-                "verdicts"
-                f" by_definition={str(v.by_definition).lower()}"
-                f" by_all_mis_critical={str(v.by_all_mis_critical).lower()}"
-                f" by_diadem_corona={str(v.by_diadem_corona).lower()}"
-                f" by_counting={str(v.by_counting).lower()}"
-            )
-            lines.append(f"ke {str(v.is_ke).lower()}")
-        else:
-            lines.append("verdicts skipped")
-            lines.append("ke skipped")
-        for name, group in (("checks", self.checks), ("consistency", self.consistency)):
-            if group is None:
-                lines.append(f"{name} skipped")
-                continue
-            applicable = [c for c in group if c.applicable]
-            vacuous = len(group) - len(applicable)
-            bad = [c.id for c in applicable if not c.holds]
-            if bad:
-                lines.append(f"{name} FAILED {','.join(bad)}")
+        """One line per field of to_json_dict, but oracle and timings: sets as
+        {a,b}, check groups as a summary, everything else through json."""
+        doc = self.to_json_dict()
+        doc.update(doc["decomposition"])
+        lines = ["graph n={n} m={m}".format(**doc["graph"])]
+        for key in _TEXT_FIELDS:
+            value = doc[key]
+            if value == _SKIPPED:
+                text = "skipped"
+            elif key == "verdicts":
+                text = " ".join(f"{k}={json.dumps(v)}" for k, v in value.items() if k != "agree")
+            elif key in ("checks", "consistency"):
+                applicable = [c for c in value if c["applicable"]]
+                bad = [c["id"] for c in applicable if not c["holds"]]
+                vacuous = len(value) - len(applicable)
+                if bad:
+                    text = f"FAILED {','.join(bad)}"
+                else:
+                    text = f"{len(applicable)}/{len(applicable)} hold"
+                    if vacuous:
+                        text += f" ({vacuous} not applicable)"
+            elif isinstance(value, list):
+                text = "{" + ",".join(value) + "}"
             else:
-                line = f"{name} {len(applicable)}/{len(applicable)} hold"
-                if vacuous:
-                    line += f" ({vacuous} not applicable)"
-                lines.append(line)
-        lines.append(f"ok {str(self.ok).lower()}")
+                text = json.dumps(value)
+            lines.append(f"{key} {text}")
         return "\n".join(lines) + "\n"
 
 

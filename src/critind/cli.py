@@ -201,15 +201,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if report.ok:
             continue
         failures += 1
-        bad = [
-            c.id
-            for group in (report.checks or [], report.consistency or [])
-            for c in group
-            if not c.holds
-        ]
-        if report.verdicts is not None and not report.verdicts.agree:
-            bad.append("verdict-agreement")
-        print(f"trial {trial} FAILED ({','.join(bad)})")
+        print(f"trial {trial} FAILED ({','.join(report.failures)})")
         print(f"spec: {spec}")
         print("graph (edge_list):")
         sys.stdout.write(to_edge_list(g))

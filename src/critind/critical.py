@@ -18,7 +18,8 @@ membership questions (does some critical independent set contain J?) reduce
 to a closure plus a disjointness test against N(J). The greedy maximum
 critical independent set and the diadem build each closure once per strongly
 connected component, as a bitset, so both scans are O(n + m) bitset tests;
-single queries keep a plain closure walk, an independent cross-check.
+the same pass gives each blocked vertex, one in no critical set, closure -1.
+Single queries keep a plain closure walk, an independent cross-check.
 bipartite_double, forced_difference and the Konig cover in matching.py stay
 public as independent cross-checks; no production answer goes through them.
 Every fast answer here is cross-checked against the exhaustive oracle in the
@@ -102,7 +103,7 @@ class _CriticalStructure:
 
     succ[u] lists the matched partners of u's mirrored neighbors; a critical
     set is exactly a succ-closed set that contains every unmatched original
-    and no vertex whose mirror side has an unmatched neighbor.
+    and no forbidden vertex, one with an unmatched mirrored neighbor.
 
     Holds g.adj, not g: a reference to g from this value of the weak cache
     keyed by g would keep g alive forever.
@@ -129,28 +130,14 @@ class _CriticalStructure:
             forbidden[u] = -1 in outs
             succ.append(() if forbidden[u] else tuple(sorted(x for x in outs if x != u)))
         self.succ = succ
-
-        # blocked[u]: u reaches a forbidden vertex, so no critical set has u.
-        rev: list[list[int]] = [[] for _ in range(n)]
-        for u in range(n):
-            for x in succ[u]:
-                rev[x].append(u)
-        blocked = forbidden[:]
-        stack = [u for u in range(n) if forbidden[u]]
-        while stack:
-            x = stack.pop()
-            for u in rev[x]:
-                if not blocked[u]:
-                    blocked[u] = True
-                    stack.append(u)
-        self.blocked = blocked
+        self.forbidden = forbidden
 
         # Minimum critical set: closure of the unmatched originals.
         in_xmin = bytearray(x == -1 for x in left_match)
         stack = [u for u in range(n) if in_xmin[u]]
         while stack:
             u = stack.pop()
-            assert not blocked[u], "minimum critical set hit a blocked vertex"
+            assert not forbidden[u], "minimum critical set hit a forbidden vertex"
             for x in succ[u]:
                 if not in_xmin[x]:
                     in_xmin[x] = 1
@@ -160,19 +147,23 @@ class _CriticalStructure:
 
     @cached_property
     def _closures(self) -> tuple[list[int], list[int]]:
-        """(bit, closure): a bit for each free vertex (neither blocked nor in
-        X_min, else -1) and its succ-closure minus X_min as a bitset (else 0).
+        """(bit, closure) per vertex. Closure -1 marks a blocked vertex, one
+        whose succ-closure meets a forbidden vertex, so no critical set has it.
+        A free vertex (neither blocked nor in X_min) has a bit, and its
+        succ-closure minus X_min as a bitset; X_min has bit -1 and closure 0.
 
-        An iterative Tarjan condenses succ on the free vertices. It pops
-        components sinks first, each taking a run of consecutive bits, so a
-        component's closure is its own run OR'd with its successors' closures.
-        Memory is at most (free vertices)^2 / 8 bytes.
+        An iterative Tarjan condenses succ outside X_min, popping components
+        sinks first. A component ORs in its successors' closures; with a
+        forbidden member or a -1 among them it is blocked, else it adds its own
+        run of consecutive bits. Only free vertices take bits, 0 .. free - 1,
+        so memory is at most (free vertices)^2 / 8 bytes.
         """
         n = self.n
         succ = self.succ
-        # index[u] is -1 until u is visited, and n once u is not free or its
+        forbidden = self.forbidden
+        # index[u] is -1 until u is visited, and n once u is in X_min or its
         # component is done, so that such u never lowers a low-link.
-        index = [n if self.blocked[u] or self.in_xmin[u] else -1 for u in range(n)]
+        index = [n if x else -1 for x in self.in_xmin]
         low = [0] * n
         bit = [-1] * n
         closure = [0] * n
@@ -204,13 +195,19 @@ class _CriticalStructure:
                         continue
                     members = stack[height:]
                     del stack[height:]
-                    cl = ((1 << len(members)) - 1) << nbits
+                    cl = 0
                     for y in members:
-                        bit[y] = nbits
-                        nbits += 1
                         index[y] = n
                         for x in succ[y]:
-                            cl |= closure[x]  # 0 for members and non-free x
+                            cl |= closure[x]  # 0 for members and X_min
+                    # A forbidden vertex has no succ, so it is alone: u.
+                    if cl == -1 or forbidden[u]:
+                        cl = -1
+                    else:
+                        cl |= ((1 << len(members)) - 1) << nbits
+                        for y in members:
+                            bit[y] = nbits
+                            nbits += 1
                     for y in members:
                         closure[y] = cl
         return bit, closure
@@ -227,14 +224,13 @@ class _CriticalStructure:
     def extends(self, members: frozenset[int]) -> bool:
         """Is there a critical independent set containing all of members?
 
-        A plain closure walk, independent of the bitsets behind the scans.
+        A plain closure walk, sharing nothing with the scans' bitsets; it fails
+        on meeting N(members) or a forbidden vertex (X_min, skipped, has none).
         """
         if not members:
             return True
         nj: set[int] = set()
         for v in members:
-            if self.blocked[v]:
-                return False
             nj.update(self.adj[v])
         if nj & members:
             return False  # members are not independent
@@ -246,8 +242,8 @@ class _CriticalStructure:
             u = stack.pop()
             if u in seen:
                 continue
-            if u in nj:
-                return False
+            if u in nj or self.forbidden[u]:
+                return False  # u is in N(members), or members are blocked
             seen.add(u)
             for x in self.succ[u]:
                 if not self.in_xmin[x] and x not in seen:
@@ -258,23 +254,23 @@ class _CriticalStructure:
         """Scan vertices in index order, keeping those that still extend.
 
         With I kept so far and X = X_min + Cl(I), v extends I iff it is not
-        blocked, not in N(I), N(v) misses X, and Cl(v) misses N(I) + N(v).
+        blocked, N(v) misses X, and Cl(v) misses N(I) + N(v). That Cl(v)
+        misses N(I) covers v not in N(I): N(I) misses X_min, since N(v)
+        misses X_min for each v kept, and a free v has its own bit in Cl(v).
         """
         bit, closure = self._closures
-        blocked = self.blocked
-        in_nj = bytearray(self.n)
         x_bits = 0  # the free part of X
         nj_bits = 0  # the free part of N(I)
         chosen: list[int] = []
         for v in range(self.n):
-            if blocked[v] or in_nj[v] or closure[v] & nj_bits:
+            cl = closure[v]
+            if cl == -1 or cl & nj_bits:
                 continue
-            reach = x_bits | closure[v]
+            reach = x_bits | cl
             if not self._nbrs_miss(v, reach, bit):
                 continue
             x_bits = reach
             for w in self.adj[v]:
-                in_nj[w] = 1
                 if bit[w] >= 0:
                     nj_bits |= 1 << bit[w]
             chosen.append(v)
@@ -284,9 +280,8 @@ class _CriticalStructure:
         """Vertices lying in some critical independent set: v not blocked,
         N(v) misses X_min and N(v) misses Cl(v)."""
         bit, closure = self._closures
-        blocked = self.blocked
         return frozenset(
-            v for v in range(self.n) if not blocked[v] and self._nbrs_miss(v, closure[v], bit)
+            v for v in range(self.n) if closure[v] != -1 and self._nbrs_miss(v, closure[v], bit)
         )
 
 

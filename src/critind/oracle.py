@@ -86,7 +86,7 @@ def _mask_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _sorted_family(g: Graph, masks: list[int]) -> tuple[frozenset[int], ...]:
+def _sorted_family(masks: list[int]) -> tuple[frozenset[int], ...]:
     sets = [_mask_set(m) for m in masks]
     sets.sort(key=lambda s: (len(s), sorted(s)))
     return tuple(sets)
@@ -147,7 +147,7 @@ def independence_profile(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> Indepen
 
     rec((1 << n) - 1, 0, 0)
 
-    family = _sorted_family(g, found)
+    family = _sorted_family(found)
     core = frozenset.intersection(*family) if family else frozenset()
     corona = frozenset.union(*family) if family else frozenset()
     return IndependenceProfile(best, family, core, corona)
@@ -211,7 +211,7 @@ def critical_family(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> CriticalFami
 
     rec((1 << n) - 1, 0, 0, 0)
 
-    family = _sorted_family(g, hits)
+    family = _sorted_family(hits)
     max_size = max((len(s) for s in family), default=0)
     maximum = tuple(s for s in family if len(s) == max_size)
     ker = frozenset.intersection(*family) if family else frozenset()

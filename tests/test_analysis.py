@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -187,6 +188,13 @@ class TestAnalyze:
         ]
         assert not r.ok
         assert "FAILED FAKE" in r.to_text()
+
+    def test_verdict_disagreement_breaks_ok(self, g1):
+        r = analyze(g1)
+        r.verdicts = dataclasses.replace(r.verdicts, by_counting=not r.verdicts.by_counting)
+        assert r.failures == ["verdict-agreement"]
+        assert not r.ok
+        assert "ok false" in r.to_text()
 
     def test_report_without_oracle_is_ok(self, g1):
         r = AnalysisReport(

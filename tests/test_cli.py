@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -213,6 +214,24 @@ class TestVerifyCommand:
         assert "FAILED (BROKEN)" in out
         assert "graph (edge_list):" in out
         assert "0/6 passed" in out
+
+
+    def test_verdict_disagreement_fails(self, capsys, monkeypatch):
+        import critind.cli as cli_mod
+
+        real_analyze = cli_mod.analyze
+
+        def disagreeing_analyze(g, **kwargs):
+            report = real_analyze(g, **kwargs)
+            v = report.verdicts
+            report.verdicts = dataclasses.replace(v, by_definition=not v.by_definition)
+            return report
+
+        monkeypatch.setattr(cli_mod, "analyze", disagreeing_analyze)
+        code, out, _ = run(capsys, "verify", "--trials", "2", "--n", "4..6", "--seed", "3")
+        assert code == 1
+        assert "FAILED (verdict-agreement)" in out
+        assert "0/2 passed" in out
 
 
 class TestGenerateCommand:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from critind import (
     ForcingConstraints,
+    GeneratorSpec,
     Graph,
     bipartite_double,
     critical_difference,
@@ -16,6 +17,7 @@ from critind import (
     extends_to_critical_independent,
     find_critical_independent_set,
     forced_difference,
+    generate,
     gnp,
     hopcroft_karp,
     independence_profile,
@@ -45,6 +47,39 @@ def konig_reference(g):
     cover = min_vertex_cover_bipartite(dbl.double, dbl.parts, m)
     x = frozenset(u for u in range(g.n) if u not in cover)
     return cover, x - neighborhood(g, x)
+
+
+def blocked_reference(g):
+    """blocked[u]: u's succ-closure meets a forbidden vertex, found by a
+    search from the forbidden vertices over the reversed succ digraph."""
+    s = critical._structure(g)
+    rev = [[] for _ in range(g.n)]
+    for u in range(g.n):
+        for x in s.succ[u]:
+            rev[x].append(u)
+    blocked = s.forbidden[:]
+    stack = [u for u in range(g.n) if blocked[u]]
+    while stack:
+        x = stack.pop()
+        for u in rev[x]:
+            if not blocked[u]:
+                blocked[u] = True
+                stack.append(u)
+    return blocked
+
+
+def assert_closures_mark_blocked(g):
+    """Closure -1 exactly on the blocked vertices, and the bits handed out
+    are 0 .. (free vertices - 1), one per free vertex."""
+    s = critical._structure(g)
+    bit, closure = s._closures
+    blocked = blocked_reference(g)
+    assert [c == -1 for c in closure] == blocked
+    # Dulmage-Mendelsohn on B(G): the blocked vertices are exactly N(X_min).
+    assert blocked == [not s.x_min.isdisjoint(g.adj[u]) for u in range(g.n)]
+    free = [u for u in range(g.n) if not blocked[u] and not s.in_xmin[u]]
+    assert sorted(bit[u] for u in free) == list(range(len(free)))
+    assert sum(b >= 0 for b in bit) == len(free)
 
 
 def networkx_d(g):
@@ -264,6 +299,7 @@ def test_scans_match_closure_walk_beyond_oracle_bound(n, c):
     # Past the oracle bound, the bitset scans are checked against the
     # per-set closure walk behind extends_to_critical_independent.
     g = sparse_graph(n, c, seed=n + c)
+    assert_closures_mark_blocked(g)
     assert diadem(g) == frozenset(
         v for v in range(n) if extends_to_critical_independent(g, [v])
     )
@@ -272,6 +308,26 @@ def test_scans_match_closure_walk_beyond_oracle_bound(n, c):
         if extends_to_critical_independent(g, chosen + [v]):
             chosen.append(v)
     assert max_critical_independent_set(g) == frozenset(chosen)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GeneratorSpec("gnp", n=300, p=0.006, seed=s) for s in (1, 2, 3)]
+    + [GeneratorSpec("bipartite_gnp", parts=(100, 200), p=0.01, seed=s) for s in (1, 2, 3)]
+    + [GeneratorSpec("disjoint_union", parts=(150, 150), p=0.02, seed=s) for s in (1, 2, 3)],
+    ids=str,
+)
+def test_closures_mark_blocked_beyond_oracle_bound(spec):
+    # The corpus families at n = 300; each graph here has blocked vertices.
+    g = generate(spec)
+    assert_closures_mark_blocked(g)
+    assert any(blocked_reference(g))
+
+
+@settings(max_examples=80)
+@given(graphs(max_n=10))
+def test_closures_mark_blocked(g):
+    assert_closures_mark_blocked(g)
 
 
 @pytest.mark.parametrize(("n", "c"), [(200, 2), (500, 3), (800, 4), (1000, 5), (1500, 2), (1500, 3)])
