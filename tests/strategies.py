@@ -55,3 +55,9 @@ def sparse_graph(n: int, c: float, seed: int) -> Graph:
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph([f"v{i}" for i in range(n)], sorted(edges))
+
+
+def dimacs_text(g: Graph) -> str:
+    """g as DIMACS text: the problem line, then one 'e i j' line per edge."""
+    lines = [f"p edge {g.n} {g.m}"] + [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from critind import DEFAULT_ORACLE_BOUND, gnp, parse_graph, to_edge_list
 from critind.cli import MAX_ORACLE_BOUND, main
 from critind.graph import MAX_DIMACS_VERTICES
-from strategies import graphs
+from strategies import dimacs_text, graphs
 
 G1_TEXT = "7 7\na e\nb e\nc e\nc f\nc g\nd g\nf g\n"
 
@@ -282,11 +282,6 @@ class TestGenerateCommand:
         assert json.loads(out)["ok"] is True
 
 
-def _dimacs(g):
-    lines = [f"p edge {g.n} {g.m}"] + [f"e {u + 1} {v + 1}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
-
-
 # Bytes that move a graph text between its syntactic cases, mixed with any byte.
 _MUTATION_BYTES = st.sampled_from(list(b"0123456789 -\n\t#cpe")) | st.integers(0, 255)
 
@@ -296,7 +291,7 @@ def _mutated_graph_text(draw):
     """Edge-list or DIMACS text of a graph with n <= 10, then up to three
     byte replacements, insertions or deletions."""
     g = draw(graphs(max_n=10))
-    text = bytearray((to_edge_list(g) if draw(st.booleans()) else _dimacs(g)).encode())
+    text = bytearray((to_edge_list(g) if draw(st.booleans()) else dimacs_text(g)).encode())
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(text)))
         op = draw(st.sampled_from(("replace", "insert", "delete")))

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critind import (
@@ -21,9 +23,218 @@ from critind import (
     parse_graph,
     to_edge_list,
 )
-from strategies import graphs
+from critind.graph import MAX_DIMACS_VERTICES
+from strategies import dimacs_text, graphs
 
 G1_TEXT = "7 7\na e\nb e\nc e\nc f\nc g\nd g\nf g"
+
+
+def per_edge_reference(labels, edges):
+    """The Graph constructor as a per-edge loop into one set per vertex,
+    checking each edge as it goes. Returns labels, adj and m only."""
+    labels = tuple(labels)
+    n = len(labels)
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {labels[u]!r}")
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    adj = tuple(tuple(sorted(s)) for s in nbrs)
+    return SimpleNamespace(labels=labels, adj=adj, m=sum(len(s) for s in nbrs) // 2)
+
+
+def per_line_reference(text, format):
+    """Both parsers as a per-line loop that strips every line and interns
+    every label through one closure; the graph comes from per_edge_reference."""
+    return _reference_edge_list(text) if format == "edge_list" else _reference_dimacs(text)
+
+
+def _reference_edge_list(text):
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    edges: list[tuple[int, int]] = []
+    header: tuple[int, int] | None = None
+    edge_lines = 0
+
+    def intern(name: str, lineno: int) -> int:
+        if name in index:
+            return index[name]
+        if header is not None and len(labels) >= header[0]:
+            raise ParseError(
+                f"unknown label {name!r}: header declares only {header[0]} vertices",
+                lineno,
+            )
+        index[name] = len(labels)
+        labels.append(name)
+        return index[name]
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if header is None:
+            if len(tokens) != 2:
+                raise ParseError("expected header 'n m'", lineno)
+            try:
+                n, m = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ParseError("expected header 'n m'", lineno) from None
+            if n < 0 or m < 0:
+                raise ParseError("vertex/edge counts must be non-negative", lineno)
+            header = (n, m)
+            continue
+        if len(tokens) == 1:
+            intern(tokens[0], lineno)
+        elif len(tokens) == 2:
+            u = intern(tokens[0], lineno)
+            v = intern(tokens[1], lineno)
+            if u == v:
+                raise ParseError(f"self-loop at {tokens[0]!r}", lineno)
+            edges.append((u, v))
+            edge_lines += 1
+        else:
+            raise ParseError("expected 'u v' (edge) or 'u' (isolated vertex)", lineno)
+
+    if header is None:
+        raise ParseError("missing header 'n m'", 1)
+    n, m = header
+    if len(labels) != n:
+        raise ParseError(f"header declares {n} vertices but {len(labels)} were named")
+    if edge_lines != m:
+        raise ParseError(f"header declares {m} edges but {edge_lines} edge lines found")
+    return per_edge_reference(labels, edges)
+
+
+def _reference_dimacs(text):
+    n = None
+    m_declared = 0
+    edges: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        tokens = line.split()
+        if tokens[0] == "p":
+            if n is not None:
+                raise ParseError("duplicate problem line", lineno)
+            if len(tokens) != 4 or tokens[1] != "edge":
+                raise ParseError("expected 'p edge n m'", lineno)
+            try:
+                n, m_declared = int(tokens[2]), int(tokens[3])
+            except ValueError:
+                raise ParseError("expected 'p edge n m'", lineno) from None
+            if n < 0 or m_declared < 0:
+                raise ParseError("counts must be non-negative", lineno)
+            if n > MAX_DIMACS_VERTICES:
+                raise ParseError(
+                    f"problem line declares {n} vertices; the limit is {MAX_DIMACS_VERTICES}", lineno
+                )
+        elif tokens[0] == "e":
+            if n is None:
+                raise ParseError("edge line before problem line", lineno)
+            if len(tokens) != 3:
+                raise ParseError("expected 'e i j'", lineno)
+            try:
+                i, j = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                raise ParseError("expected 'e i j'", lineno) from None
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ParseError(f"unknown vertex index in edge ({i}, {j})", lineno)
+            if i == j:
+                raise ParseError(f"self-loop at vertex {i}", lineno)
+            edges.append((i - 1, j - 1))
+        else:
+            raise ParseError(f"unrecognized line type {tokens[0]!r}", lineno)
+    if n is None:
+        raise ParseError("missing problem line 'p edge n m'", 1)
+    if len(edges) != m_declared:
+        raise ParseError(f"problem line declares {m_declared} edges but {len(edges)} found")
+    return per_edge_reference([str(i) for i in range(1, n + 1)], edges)
+
+
+def _outcome(build):
+    """(labels, adj, m) of the graph build() returns, or what it raises."""
+    try:
+        g = build()
+    except ValueError as exc:  # ParseError is a ValueError
+        return type(exc).__name__, str(exc)
+    return g.labels, g.adj, g.m
+
+
+# Pieces that move a text between the parsers' cases: comment marks, every
+# line break splitlines() knows that str.split() also treats as whitespace,
+# a 3-token line, signed and unsigned counts, and DIMACS keywords.
+_PIECES = ["a", "b", "c", "1", "2", "0", "-1", "#", "\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x85",
+           " ", "\t", "x y z", "p", "e", "edge", "p edge 2 1", "e 1 2"]
+
+
+@st.composite
+def _piece_text(draw):
+    """Random text over _PIECES, sometimes after an edge-list or DIMACS header."""
+    body = "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=30)))
+    header = draw(st.sampled_from(["", "edge_list", "dimacs"]))
+    n, m = draw(st.integers(-1, 4)), draw(st.integers(-1, 4))
+    return {"": "", "edge_list": f"{n} {m}\n", "dimacs": f"p edge {n} {m}\n"}[header] + body
+
+
+@st.composite
+def _mutated_text(draw):
+    """Edge-list or DIMACS text of a graph with n <= 8, then up to three
+    character replacements, insertions or deletions."""
+    g = draw(graphs(max_n=8))
+    text = list(to_edge_list(g) if draw(st.booleans()) else dimacs_text(g))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        if op == "insert":
+            text.insert(i, draw(st.sampled_from(_PIECES)))
+        elif i < len(text):
+            if op == "replace":
+                text[i] = draw(st.sampled_from(_PIECES))
+            else:
+                del text[i]
+    return "".join(text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_piece_text() | _mutated_text())
+@example("2 1\na b\na b c\nb b")  # token count before self-loop
+@example("1 1\na\nb b")  # a self-loop on a label past the header's count: the count wins
+@example("2 1\na b\nc c")
+@example("2 2\na b\nb a")  # a reversed duplicate edge
+@example("2 2 # two\n# note\na b#x\n\x0bb   a\n")
+@example("")  # no header
+@example("# only a comment\n\n")
+@example("-1 0")
+@example("p edge -1 0")
+@example("c comment\np edge 3 2\ne 1 2\ne 2 1\n")
+@example("p edge 2 1\ne 1 1")
+@example("p edge 2 1\n  c an indented comment\ne 1 2")
+@example("\t# an indented comment\n1 0\n  a #")
+@example("p edge 2 1\np edge 2 1")
+def test_parsers_match_per_line_reference(text):
+    for format in ("edge_list", "dimacs"):
+        expected = _outcome(lambda: per_line_reference(text, format))
+        assert _outcome(lambda: parse_graph(text, format)) == expected
+
+
+def test_parse_peak_memory():
+    # About 50k edge lines. The streaming parse peaks near 6.3 MiB. One set
+    # per vertex peaked at 12 MiB, and the token lists of every line, held
+    # at once, take 16 MiB by themselves.
+    text = to_edge_list(gnp(1000, 0.1, seed=7))
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m > 45_000
+    assert peak < 8 * 2**20
 
 
 class TestParseEdgeList:
@@ -111,6 +322,14 @@ class TestParseDimacs:
             parse_graph("0 0", format="csv")
 
 
+@st.composite
+def _sized_edge_lists(draw):
+    """n <= 6 with up to 12 edges that may repeat, loop, or leave 0..n-1."""
+    n = draw(st.integers(0, 6))
+    end = st.integers(0, max(n - 1, 0)) | st.integers(-n - 2, n + 1)
+    return n, draw(st.lists(st.tuples(end, end), max_size=12))
+
+
 class TestGraphConstruction:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
@@ -145,6 +364,43 @@ class TestGraphConstruction:
         g = Graph(["a", "b"], [(0, 1), (1, 0)])
         assert g.m == 1
         assert g.adj[0] == (1,) and g.adj[1] == (0,)
+
+    @pytest.mark.parametrize("edges", [[(-1, 0)], [(0, -1)], [(0, 2)], [(2, 0)], [(0, 1), (-2, 1)]])
+    def test_rejects_out_of_range_endpoint(self, edges):
+        # A negative index must not wrap around to the last vertices.
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(["a", "b"], edges)
+
+    def test_self_loop_names_the_vertex(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 'b'"):
+            Graph(["a", "b"], [(1, 1)])
+
+    def test_reports_the_first_bad_edge(self):
+        with pytest.raises(ValueError, match=r"self-loop at vertex 'a'"):
+            Graph(["a", "b"], [(0, 1), (0, 0), (5, 1), (-1, 0)])
+        with pytest.raises(ValueError, match=r"edge \(-1, 0\) out of range for n=2"):
+            Graph(["a", "b"], [(0, 1), (-1, 0), (1, 1), (0, 7)])
+
+    def test_edges_from_a_generator(self):
+        edges = [(0, 3), (2, 1), (3, 2), (1, 3)]
+        from_gen = Graph("abcd", (e for e in edges))
+        from_list = Graph("abcd", edges)
+        assert (from_gen.adj, from_gen.m) == (from_list.adj, from_list.m)
+        with pytest.raises(ValueError, match="self-loop at vertex 'c'"):
+            Graph("abcd", (e for e in edges + [(2, 2)]))
+
+    def test_repeated_edges_count_once(self):
+        g = Graph(["a", "b"], [(0, 1), (1, 0), (0, 1)])
+        assert g.m == 1
+        assert g.adj == ((1,), (0,))
+
+    @settings(max_examples=300)
+    @given(_sized_edge_lists(), st.booleans())
+    def test_matches_per_edge_reference(self, case, one_shot):
+        n, edges = case
+        labels = [f"v{i}" for i in range(n)]
+        expected = _outcome(lambda: per_edge_reference(labels, edges))
+        assert _outcome(lambda: Graph(labels, iter(edges) if one_shot else edges)) == expected
 
 
 class TestSetPrimitives:
