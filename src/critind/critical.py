@@ -17,13 +17,13 @@ The family of critical sets is therefore a lattice of closed sets, and
 membership questions (does some critical independent set contain J?) reduce
 to a closure plus a disjointness test against N(J). The greedy maximum
 critical independent set and the diadem build each closure once per strongly
-connected component, as a bitset, so both scans are O(n + m) bitset tests;
-the same pass gives each blocked vertex, one in no critical set, closure -1.
-Single queries keep a plain closure walk, an independent cross-check.
-bipartite_double, forced_difference and the Konig cover in matching.py stay
-public as independent cross-checks; no production answer goes through them.
-Every fast answer here is cross-checked against the exhaustive oracle in the
-test suite; nothing below is trusted on theory alone.
+connected component, as a bitset, so both scans are O(n + m) bitset tests
+of "N(v) misses X_min and some closure bits"; the theorems that make that
+test enough are proved where they are used. Single queries keep a plain
+closure walk that relies on none of them: the scans' judge in the test suite
+beyond the exhaustive oracle's bound. bipartite_double, forced_difference and
+the Konig cover in matching.py stay public as independent cross-checks; no
+production answer goes through them.
 """
 
 from __future__ import annotations
@@ -122,13 +122,14 @@ class _CriticalStructure:
         left_match, right_match = hopcroft_karp(g.adj, n, (mate, mate[:]))
         self.d = left_match.count(-1)
 
-        # Distinct mirrors have distinct partners, so outs has no repeats.
+        # Distinct mirrors have distinct partners, so outs has no repeats. It
+        # may hold u itself, a self-loop that changes no closure.
         succ: list[tuple[int, ...]] = []
         forbidden = [False] * n
         for u in range(n):
             outs = [right_match[w] for w in g.adj[u]]
             forbidden[u] = -1 in outs
-            succ.append(() if forbidden[u] else tuple(sorted(x for x in outs if x != u)))
+            succ.append(() if forbidden[u] else tuple(outs))
         self.succ = succ
         self.forbidden = forbidden
 
@@ -147,23 +148,29 @@ class _CriticalStructure:
 
     @cached_property
     def _closures(self) -> tuple[list[int], list[int]]:
-        """(bit, closure) per vertex. Closure -1 marks a blocked vertex, one
-        whose succ-closure meets a forbidden vertex, so no critical set has it.
-        A free vertex (neither blocked nor in X_min) has a bit, and its
-        succ-closure minus X_min as a bitset; X_min has bit -1 and closure 0.
+        """(bit, closure) per vertex. A free vertex, in some critical set but
+        not in X_min, has a bit and its succ-closure minus X_min as a bitset;
+        the rest have bit -1 and closure 0.
 
-        An iterative Tarjan condenses succ outside X_min, popping components
-        sinks first. A component ORs in its successors' closures; with a
-        forbidden member or a -1 among them it is blocked, else it adds its own
-        run of consecutive bits. Only free vertices take bits, 0 .. free - 1,
-        so memory is at most (free vertices)^2 / 8 bytes.
+        The blocked vertices, in no critical set, are exactly N(X_min). In the
+        Dulmage-Mendelsohn split of B(G), X_min is D_L, so by the automorphism
+        u <-> u' D_R is its mirror and A_L = N(D_R) = N(X_min). A_L holds
+        every forbidden vertex, each A_L vertex reaches one along an
+        alternating path, and succ from C_L stays in C_L + D_L.
+
+        So an iterative Tarjan condenses succ outside X_min + N(X_min),
+        popping components sinks first; each ORs in its successors' closures
+        and adds its own run of bits, 0 .. free - 1. Memory is at most
+        (free vertices)^2 / 8 bytes.
         """
         n = self.n
         succ = self.succ
-        forbidden = self.forbidden
-        # index[u] is -1 until u is visited, and n once u is in X_min or its
-        # component is done, so that such u never lowers a low-link.
+        # index[u] is -1 until u is visited, and n once u is done (X_min,
+        # N(X_min) or a popped component), so such u never lowers a low-link.
         index = [n if x else -1 for x in self.in_xmin]
+        for u in self.x_min:
+            for w in self.adj[u]:
+                index[w] = n
         low = [0] * n
         bit = [-1] * n
         closure = [0] * n
@@ -195,19 +202,13 @@ class _CriticalStructure:
                         continue
                     members = stack[height:]
                     del stack[height:]
-                    cl = 0
+                    cl = ((1 << len(members)) - 1) << nbits
                     for y in members:
                         index[y] = n
+                        bit[y] = nbits
+                        nbits += 1
                         for x in succ[y]:
-                            cl |= closure[x]  # 0 for members and X_min
-                    # A forbidden vertex has no succ, so it is alone: u.
-                    if cl == -1 or forbidden[u]:
-                        cl = -1
-                    else:
-                        cl |= ((1 << len(members)) - 1) << nbits
-                        for y in members:
-                            bit[y] = nbits
-                            nbits += 1
+                            cl |= closure[x]  # 0 for members, X_min, N(X_min)
                     for y in members:
                         closure[y] = cl
         return bit, closure
@@ -253,36 +254,27 @@ class _CriticalStructure:
     def greedy_max_critical_independent_set(self) -> frozenset[int]:
         """Scan vertices in index order, keeping those that still extend.
 
-        With I kept so far and X = X_min + Cl(I), v extends I iff it is not
-        blocked, N(v) misses X, and Cl(v) misses N(I) + N(v). That Cl(v)
-        misses N(I) covers v not in N(I): N(I) misses X_min, since N(v)
-        misses X_min for each v kept, and a free v has its own bit in Cl(v).
+        With I kept so far, v extends I iff N(v) misses U = X_min + Cl(I) +
+        Cl(v); that Cl(v) misses N(I) follows. U is closed (v, outside
+        N(X_min), is not blocked), so critical, and v is not in N(U), so
+        U - N(U), critical too, holds v and so Cl(v). A w in Cl(v) and in N(I)
+        would lie in U - N(U) and in N(U) at once.
         """
         bit, closure = self._closures
-        x_bits = 0  # the free part of X
-        nj_bits = 0  # the free part of N(I)
+        x_bits = 0  # the free part of X_min + Cl(I)
         chosen: list[int] = []
         for v in range(self.n):
-            cl = closure[v]
-            if cl == -1 or cl & nj_bits:
-                continue
-            reach = x_bits | cl
-            if not self._nbrs_miss(v, reach, bit):
-                continue
-            x_bits = reach
-            for w in self.adj[v]:
-                if bit[w] >= 0:
-                    nj_bits |= 1 << bit[w]
-            chosen.append(v)
+            reach = x_bits | closure[v]
+            if self._nbrs_miss(v, reach, bit):
+                x_bits = reach
+                chosen.append(v)
         return frozenset(chosen)
 
     def diadem(self) -> frozenset[int]:
-        """Vertices lying in some critical independent set: v not blocked,
-        N(v) misses X_min and N(v) misses Cl(v)."""
+        """Vertices lying in some critical independent set: v with N(v)
+        missing X_min and Cl(v). A blocked v has a neighbour in X_min."""
         bit, closure = self._closures
-        return frozenset(
-            v for v in range(self.n) if closure[v] != -1 and self._nbrs_miss(v, closure[v], bit)
-        )
+        return frozenset(v for v in range(self.n) if self._nbrs_miss(v, closure[v], bit))
 
 
 _structures: "weakref.WeakKeyDictionary[Graph, _CriticalStructure]" = weakref.WeakKeyDictionary()
@@ -307,13 +299,15 @@ def matching_number(g: Graph) -> int:
 
 
 def find_critical_independent_set(g: Graph) -> frozenset[int]:
-    """Some independent S with d(S) = d(G), possibly empty.
+    """Some independent S with d(S) = d(G), possibly empty: X_min, the
+    closure of the unmatched originals and the original side left out of the
+    Konig cover of B(G).
 
-    X_min minus its neighbourhood. X_min, the closure of the unmatched
-    originals, is the original side left out of the Konig cover of B(G).
+    For X critical, I = X - N(X) is critical (Butenko & Trukhanov, Oper. Res.
+    Lett. 35, 2007): N(X) holds N(I) and X - I disjointly. X_min lies in every
+    critical set, so in X_min - N(X_min): X_min is independent and is ker(G).
     """
-    x = _structure(g).x_min
-    return x - neighborhood(g, x)
+    return _structure(g).x_min
 
 
 def forced_difference(g: Graph, constraints: ForcingConstraints) -> int:

@@ -69,12 +69,12 @@ def blocked_reference(g):
 
 
 def assert_closures_mark_blocked(g):
-    """Closure -1 exactly on the blocked vertices, and the bits handed out
+    """Every blocked vertex has closure 0 and bit -1, and the bits handed out
     are 0 .. (free vertices - 1), one per free vertex."""
     s = critical._structure(g)
     bit, closure = s._closures
     blocked = blocked_reference(g)
-    assert [c == -1 for c in closure] == blocked
+    assert all(closure[u] == 0 and bit[u] == -1 for u in range(g.n) if blocked[u])
     # Dulmage-Mendelsohn on B(G): the blocked vertices are exactly N(X_min).
     assert blocked == [not s.x_min.isdisjoint(g.adj[u]) for u in range(g.n)]
     free = [u for u in range(g.n) if not blocked[u] and not s.in_xmin[u]]
@@ -394,6 +394,7 @@ def test_find_critical_postcondition(g):
     cover, reference = konig_reference(g)
     assert s == reference
     assert len(cover) == g.n - critical_difference(g)
+    assert s == critical_family(g).ker
 
 
 @settings(max_examples=80)
