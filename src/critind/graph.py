@@ -72,14 +72,20 @@ class Graph:
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]]):
         labels = tuple(labels)
-        index: dict[str, int] = {}
-        for i, name in enumerate(labels):
-            if name.split() != [name] or "#" in name:  # empty, or holds whitespace
-                raise ValueError(f"invalid vertex label {name!r}")
-            if name in index:
-                raise ValueError(f"duplicate vertex label {name!r}")
-            index[name] = i
         n = len(labels)
+        index = dict(zip(labels, range(n)))
+        # All labels at once: joined by single spaces they split back into
+        # themselves iff none is empty or holds whitespace. Only a failure
+        # walks them in order, to name the first bad one.
+        joined = " ".join(labels)
+        if len(index) != n or "#" in joined or joined.split() != list(labels):
+            seen: set[str] = set()
+            for name in labels:
+                if name.split() != [name] or "#" in name:  # empty, or holds whitespace
+                    raise ValueError(f"invalid vertex label {name!r}")
+                if name in seen:
+                    raise ValueError(f"duplicate vertex label {name!r}")
+                seen.add(name)
         if not isinstance(edges, list):
             edges = list(edges)  # walked twice when an edge is bad
         nbrs: list[list[int]] = [[] for _ in range(n)]

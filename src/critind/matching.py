@@ -8,9 +8,13 @@ hopcroft_karp, which then makes only the few augmentations left to reach
 n - d(G). max_matching_bipartite and max_matching_general wrap the kernels
 for a Graph and validate the result as a Matching; they are cross-checks,
 and no production answer goes through them. blossom is Edmonds'
-contraction, one BFS alternating tree per unmatched vertex after a greedy
-seed. Blossom bases live in a
-union-find (Gabow, J. ACM 23, 1976), the scratch arrays are allocated once
+contraction, one BFS alternating tree per vertex that a Karp-Sipser seed
+leaves unmatched. The seed matches a vertex with one unmatched neighbour to
+that neighbour, which never loses optimality, and otherwise takes the greedy
+pick; it keeps degrees only when the graph has a degree-1 vertex at all. On
+sparse random graphs the peel leaves few vertices for the searches (Aronson,
+Frieze & Pittel, Random Struct. Algorithms 12, 1998). Blossom bases live in
+a union-find (Gabow, J. ACM 23, 1976), the scratch arrays are allocated once
 per call and reset only where a search touched them, and the lowest common
 base is found by stamping, so one search works only on the vertices of its
 tree and never on all n. A contraction walks its two paths under the bases
@@ -321,23 +325,85 @@ def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int]
     return augment
 
 
+def _seed(adj: Sequence[Sequence[int]]) -> list[int]:
+    """A maximal matching to start the blossom searches from, as a mate list.
+
+    Karp-Sipser: while some unmatched vertex v has exactly one unmatched
+    neighbour u, match v to u; otherwise match the next unmatched vertex in
+    index order to its first unmatched neighbour. The peel never loses
+    optimality (Karp & Sipser, FOCS 1981): a maximum matching of the still
+    unmatched vertices that lacks uv leaves v free, so it matches u to some
+    w, and trading uw for uv keeps it maximum. Only a greedy pick can cost a
+    matching edge, which a blossom search then wins back; on a forest every
+    remainder has a leaf, so the peel alone is maximum.
+
+    Degrees count unmatched neighbours only. They are kept only when the
+    graph has a degree-1 vertex at all: without one the seed is the plain
+    greedy pass, and the degree list it built is all it spent.
+    """
+    n = len(adj)
+    match = [-1] * n
+    deg = list(map(len, adj))
+    if 1 not in deg:
+        for v in range(n):
+            if match[v] == -1:
+                for u in adj[v]:
+                    if match[u] == -1:
+                        match[v] = u
+                        match[u] = v
+                        break
+        return match
+    # From here deg[v] is v's count of unmatched neighbours while v is
+    # unmatched, and 0 once v is matched. An unmatched neighbour of an
+    # unmatched vertex therefore always reads nonzero.
+    pending = [v for v, d in enumerate(deg) if d == 1]
+    push = pending.append
+    nxt = 0
+    while True:
+        if pending:
+            v = pending.pop()
+            if not deg[v]:
+                continue  # matched, or left with no unmatched neighbour
+        else:
+            # No unmatched vertex has one unmatched neighbour: the greedy
+            # pick. A vertex passed over is matched or has no unmatched
+            # neighbour left, and stays so, so the scan never turns back.
+            while nxt < n and not deg[nxt]:
+                nxt += 1
+            if nxt == n:
+                return match
+            v = nxt
+        for u in adj[v]:
+            if deg[u]:
+                break
+        match[v] = u
+        match[u] = v
+        # A peeled v has no unmatched neighbour left but u.
+        nbrs = adj[u] if deg[v] == 1 else (*adj[v], *adj[u])
+        deg[v] = deg[u] = 0
+        for w in nbrs:
+            d = deg[w]
+            if d:
+                deg[w] = d - 1
+                if d == 2:
+                    push(w)
+
+
 def blossom(adj: Sequence[Sequence[int]]) -> list[int]:
     """Maximum matching of the simple graph with adjacency lists adj, as a
     mate list: mate[v] is v's partner, or -1 when v is unmatched.
 
-    Greedy seed, then one blossom search per remaining unmatched vertex.
+    A Karp-Sipser seed first (_seed): a vertex with exactly one unmatched
+    neighbour is matched to it, which never loses optimality, and when no
+    such vertex is left the next unmatched vertex takes its first unmatched
+    neighbour. Without a degree-1 vertex in the graph the seed keeps no
+    degrees and is that greedy pass alone. Then one blossom search runs per
+    vertex the seed leaves unmatched; on sparse random graphs the peel
+    leaves few of them.
     """
-    n = len(adj)
-    match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            for u in adj[v]:
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
+    match = _seed(adj)
     augment = _augmenter(adj, match)
-    for v in range(n):
+    for v in range(len(adj)):
         if match[v] == -1:
             augment(v)
     return match

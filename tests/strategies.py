@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from hypothesis import strategies as st
 
@@ -61,3 +62,26 @@ def dimacs_text(g: Graph) -> str:
     """g as DIMACS text: the problem line, then one 'e i j' line per edge."""
     lines = [f"p edge {g.n} {g.m}"] + [f"e {u + 1} {v + 1}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
+
+
+def with_pendants(g: Graph, hosts: Sequence[int]) -> Graph:
+    """g plus one new vertex per entry of hosts, joined to that vertex only.
+    hosts[i] may name an earlier new vertex (index g.n + j, j < i), which
+    grows pendant paths and trees."""
+    labels = list(g.labels) + [f"pend{i}" for i in range(len(hosts))]
+    edges = g.edges() + [(h, g.n + i) for i, h in enumerate(hosts)]
+    return Graph(labels, edges)
+
+
+def random_pendants(g: Graph, k: int, rng: random.Random) -> Graph:
+    """g with k pendant vertices, each hung on a uniform earlier vertex."""
+    return with_pendants(g, [rng.randrange(g.n + i) for i in range(k)])
+
+
+@st.composite
+def graphs_with_pendants(draw, max_n: int = 10, max_pendants: int = 4):
+    """graphs(max_n=max_n) with up to max_pendants pendant vertices hung on
+    it, some of them on each other."""
+    g = draw(graphs(max_n=max_n))
+    k = draw(st.integers(0, max_pendants)) if g.n else 0
+    return with_pendants(g, [draw(st.integers(0, g.n + i - 1)) for i in range(k)])

@@ -32,7 +32,7 @@ from critind import (
     neighborhood,
 )
 from critind import critical
-from strategies import graphs, permuted, sparse_graph
+from strategies import graphs, permuted, random_pendants, sparse_graph
 
 
 def edgeless(n):
@@ -292,6 +292,19 @@ class TestDecompose:
             assert set(label_set(g, dec_g.X)) == set(label_set(h, dec_h.X))
             assert len(dec_g.I) == len(dec_h.I)
             assert set(label_set(g, diadem(g))) == set(label_set(h, diadem(h)))
+
+
+@pytest.mark.parametrize(("n", "c", "pendants"), [(700, 2, 300), (600, 3, 400), (800, 4, 250), (500, 1, 500)])
+def test_answers_invariant_under_vertex_order_with_pendants(n, c, pendants):
+    # The matching seed peels degree-1 vertices in an order that follows the
+    # vertex indices; no answer may.
+    rng = random.Random(n + pendants)
+    g = random_pendants(sparse_graph(n, c, seed=n * c), pendants, rng)
+    h = permuted(g, rng)
+    assert critical.matching_number(g) == critical.matching_number(h)
+    assert critical_difference(g) == critical_difference(h)
+    assert label_set(g, find_critical_independent_set(g)) == label_set(h, find_critical_independent_set(h))
+    assert label_set(g, diadem(g)) == label_set(h, diadem(h))
 
 
 @pytest.mark.parametrize(("n", "c"), [(200, 2), (500, 3), (800, 4), (1000, 5), (1500, 2), (1500, 3)])

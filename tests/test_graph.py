@@ -341,6 +341,25 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph([""], [])
 
+    @pytest.mark.parametrize(
+        ("labels", "kind", "bad"),
+        [
+            (["a", "", "b"], "invalid", ""),
+            (["a", "b\tc"], "invalid", "b\tc"),
+            (["a", "x\u3000y"], "invalid", "x\u3000y"),
+            (["#", "a"], "invalid", "#"),
+            (["a", "b#c"], "invalid", "b#c"),
+            (["a", "b", "a"], "duplicate", "a"),
+            # The first bad label in order is the one named.
+            (["a", "a", "b c"], "duplicate", "a"),
+            (["b c", "a", "a"], "invalid", "b c"),
+        ],
+    )
+    def test_bad_label_messages(self, labels, kind, bad):
+        with pytest.raises(ValueError) as info:
+            Graph(labels, [])
+        assert str(info.value) == f"{kind} vertex label {bad!r}"
+
     @settings(max_examples=300)
     @given(
         st.text()

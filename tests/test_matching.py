@@ -17,7 +17,15 @@ from critind import (
     min_vertex_cover_bipartite,
     mu_exact,
 )
-from strategies import bipartite_graphs, graphs, sparse_graph
+from critind import matching
+from strategies import (
+    bipartite_graphs,
+    graphs,
+    graphs_with_pendants,
+    permuted,
+    random_pendants,
+    sparse_graph,
+)
 
 
 def path_graph(labels):
@@ -303,6 +311,130 @@ def test_mu_matches_networkx_beyond_oracle_bound(n, c):
     ng.add_nodes_from(range(n))
     ng.add_edges_from(g.edges())
     assert max_matching_general(g).size == len(nx.max_weight_matching(ng, maxcardinality=True))
+
+
+def networkx_mu(g):
+    nx = pytest.importorskip("networkx")
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges())
+    return len(nx.max_weight_matching(ng, maxcardinality=True))
+
+
+def assert_maximum(g):
+    """Returns mu(G) after checking the blossom against networkx."""
+    m = max_matching_general(g)
+    assert m.size == networkx_mu(g)
+    assert not has_augmenting_path(g, m)
+    return m.size
+
+
+def greedy_reference(adj):
+    """Each unmatched vertex in index order takes its first unmatched neighbour."""
+    mate = [-1] * len(adj)
+    for v in range(len(adj)):
+        if mate[v] == -1:
+            for u in adj[v]:
+                if mate[u] == -1:
+                    mate[v], mate[u] = u, v
+                    break
+    return mate
+
+
+def assert_peel_is_maximum(g):
+    # On a forest every nonempty remainder has a leaf, so the seed never
+    # falls back to a greedy pick and needs no search.
+    mate = matching._seed(g.adj)
+    Matching(g, ((u, w) for u, w in enumerate(mate) if w > u))  # validates it
+    assert mate.count(-1) == g.n - 2 * assert_maximum(g)
+
+
+def random_forest(n, rng):
+    """Each vertex joins a uniform earlier one, or starts a new tree."""
+    g = Graph([f"v{i}" for i in range(n)], [(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.9])
+    return permuted(g, rng)
+
+
+def caterpillar(spine, legs, rng):
+    """A path of `spine` vertices, each with up to `legs` leaves."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i in range(spine):
+        for _ in range(rng.randint(0, legs)):
+            edges.append((i, n))
+            n += 1
+    return Graph([f"v{i}" for i in range(n)], edges)
+
+
+def clique_with_tail(k, tail):
+    """K_k on 0..k-1, a path of `tail` vertices hung on clique vertex 0 whose
+    far end closes into a triangle, and a separate edge. Only that edge has
+    degree-1 vertices at the start. Once the greedy pick has matched vertex
+    0, the tail's first vertex has one unmatched neighbour left, and the peel
+    runs down the tail."""
+    clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    path = [(0, k)] + [(k + i, k + i + 1) for i in range(tail - 1)]
+    end = k + tail - 1
+    n = end + 3
+    return Graph([f"v{i}" for i in range(n)], clique + path + [(end - 2, end), (n - 2, n - 1)])
+
+
+def min_degree_two(n, c, seed):
+    """sparse_graph plus a cycle through all its vertices in random order."""
+    g = sparse_graph(n, c, seed)
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    ring = {(min(u, v), max(u, v)) for u, v in zip(order, order[1:] + order[:1])}
+    return Graph(g.labels, sorted(set(g.edges()) | ring))
+
+
+class TestKarpSipserSeed:
+    @pytest.mark.parametrize("n", [2, 30, 300, 1000])
+    def test_peel_alone_is_maximum_on_forests(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            assert_peel_is_maximum(random_forest(n, rng))
+
+    @pytest.mark.parametrize(("spine", "legs"), [(1, 3), (2, 1), (7, 2), (40, 3), (500, 2)])
+    def test_peel_alone_is_maximum_on_caterpillars(self, spine, legs):
+        g = caterpillar(spine, legs, random.Random(spine * legs))
+        assert_peel_is_maximum(g)
+        assert_peel_is_maximum(permuted(g, random.Random(spine)))
+
+    @pytest.mark.parametrize("core", [cycle(5), petersen(), nested_blossom()[0]], ids=["c5", "petersen", "nested"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blossoms_with_pendant_paths(self, core, seed):
+        rng = random.Random(seed)
+        g = random_pendants(core, rng.randint(1, 3 * core.n), rng)
+        assert 1 in map(len, g.adj)
+        assert_maximum(g)
+        assert_maximum(permuted(g, rng))
+
+    @pytest.mark.parametrize(("k", "tail"), [(3, 4), (4, 5), (5, 6), (6, 9), (7, 40), (8, 41)])
+    def test_clique_with_long_tail(self, k, tail):
+        g = clique_with_tail(k, tail)
+        assert [v for v in range(g.n) if len(g.adj[v]) == 1] == [g.n - 2, g.n - 1]
+        assert_maximum(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle(5), cycle(8), petersen(), two_triangles_bridge(),
+         Graph([f"k{i}" for i in range(6)], [(i, j) for i in range(6) for j in range(i + 1, 6)]),
+         min_degree_two(200, 1, 3), min_degree_two(1000, 3, 4)],
+        ids=["c5", "c8", "petersen", "bridge", "k6", "ring200", "ring1000"],
+    )
+    def test_no_degree_one_vertex_takes_the_greedy_seed(self, g):
+        assert 1 not in map(len, g.adj)
+        assert matching._seed(g.adj) == greedy_reference(g.adj)
+        assert_maximum(g)
+
+
+@settings(max_examples=80)
+@given(graphs_with_pendants(max_n=10))
+def test_blossom_with_pendants_matches_oracle(g):
+    m = max_matching_general(g)
+    assert m.size == mu_exact(g)
+    assert not has_augmenting_path(g, m)
 
 
 @settings(max_examples=80)
