@@ -97,7 +97,7 @@ def _run_checks(
     prof_x = oracle.independence_profile(gx, bound)
     fam_x = oracle.critical_family(gx, bound)
     prof_xc = oracle.independence_profile(gxc, bound)
-    mu_x = (gx.n - matching.blossom(gx.adj).count(-1)) // 2
+    mu_x = (gx.n - matching.blossom(gx.adj)[0].count(-1)) // 2
 
     def lift(s: frozenset[int]) -> frozenset[int]:
         return frozenset(back_x[i] for i in s)

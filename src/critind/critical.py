@@ -5,9 +5,10 @@ over the bipartite double B(G). One blossom per graph gives mu(G), and its
 matching, doubled (uv to u-v' and v-u'), is a matching of B(G) of size
 2 mu(G) <= n - d(G). It seeds one Hopcroft-Karp on the host adjacency, the
 mirror of v being right index v, so B(G) is never built and only the few
-augmentations left to n - d(G) are searched for. On top of that one maximum
-matching of B(G) we build a closure structure that characterizes every
-critical set at once:
+augmentations left to n - d(G) are searched for, and only from the
+vertices that the Karp-Sipser peel behind the blossom has not settled. On
+top of that one maximum matching of B(G) we build a closure structure that
+characterizes every critical set at once:
 
     X is critical  <=>  X contains all unmatched originals, avoids every
     vertex with an unmatched mirrored neighbor, and is closed under
@@ -107,19 +108,32 @@ class _CriticalStructure:
 
     Holds g.adj, not g: a reference to g from this value of the weak cache
     keyed by g would keep g alive forever.
+
+    Hopcroft-Karp starts only from the blossom's roots, the core vertices it
+    left unmatched; with P, U, C, Z and Z' as in matching.blossom that gives
+    a maximum matching of B(G). A peel v -> u of the seed doubles to two
+    peels of B(G): first v-u', u' being the only unmatched mirror v sees,
+    then u-v', v' having only u left. So mu(B(G)) = 2|P| + mu(B(G[U]))
+    = 2|P| + mu(B(G[C])), as Z is isolated in G[U]. The doubled blossom
+    matching leaves free the left copies of the roots and of Z'. Removing
+    the copies of Z' keeps the doubled peels and B(G[C]), so it loses no
+    matching edge, and HK from the roots never reaches those copies: they
+    are never roots, and no matched right vertex leads to them.
     """
 
     def __init__(self, g: Graph):
         n = g.n
         self.n = n
         self.adj = g.adj
-        mate = blossom(g.adj)
+        mate, roots = blossom(g.adj)
         self.mu = (n - mate.count(-1)) // 2
         # HK on B(G) without building it: left u is original u, right v is
         # the mirror of v, and original u sees the mirrors of its neighbours.
         # The doubled blossom matching starts it: left u holds the mirror of
-        # mate[u], and the mirror of v is held by mate[v].
-        left_match, right_match = hopcroft_karp(g.adj, n, (mate, mate[:]))
+        # mate[u], and the mirror of v is held by mate[v]. So it makes only
+        # the few augmentations left, and its phases start only from the
+        # blossom's roots, the few vertices the peel has not settled.
+        left_match, right_match = hopcroft_karp(g.adj, n, (mate, mate[:]), roots)
         self.d = left_match.count(-1)
 
         # Distinct mirrors have distinct partners, so outs has no repeats. It

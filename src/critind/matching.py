@@ -5,28 +5,33 @@ Both kernels work on plain index lists. The critical structure runs each
 once per graph on the host adjacency: blossom gives mu(G) for the
 Konig-Egervary verdict, and its matching, doubled onto B(G), seeds
 hopcroft_karp, which then makes only the few augmentations left to reach
-n - d(G). max_matching_bipartite and max_matching_general wrap the kernels
-for a Graph and validate the result as a Matching; they are cross-checks,
-and no production answer goes through them. blossom is Edmonds'
-contraction, one BFS alternating tree per vertex that a Karp-Sipser seed
-leaves unmatched. The seed matches a vertex with one unmatched neighbour to
-that neighbour, which never loses optimality, and otherwise takes the greedy
-pick; it keeps degrees only when the graph has a degree-1 vertex at all. On
-sparse random graphs the peel leaves few vertices for the searches (Aronson,
-Frieze & Pittel, Random Struct. Algorithms 12, 1998). Blossom bases live in
-a union-find (Gabow, J. ACM 23, 1976), the scratch arrays are allocated once
-per call and reset only where a search touched them, and the lowest common
-base is found by stamping, so one search works only on the vertices of its
-tree and never on all n. A contraction walks its two paths under the bases
-as they were and merges them after both walks. Returned matchings are
-deterministic (vertices are scanned in index order) but not canonical;
-consumers should rely only on size and saturation structure.
+n - d(G), with its phases started only from the blossom's roots.
+max_matching_bipartite and max_matching_general wrap the kernels for a
+Graph and validate the result as a Matching; they are cross-checks, and no
+production answer goes through them. blossom is Edmonds' contraction on top
+of a Karp-Sipser seed. The seed matches a vertex with one unmatched
+neighbour to that neighbour, which never loses optimality, and otherwise
+takes the greedy pick; it keeps degrees only when the graph has a degree-1
+vertex at all. The searches, one BFS alternating tree per root, start only
+from the core the peel left before its first greedy pick, and stop once
+they have won back as many edges as the greedy picks can have cost; with no
+greedy pick there is no search, and no Hopcroft-Karp root either. On sparse
+random graphs the peel settles almost everything (Karp & Sipser, FOCS 1981;
+Aronson, Frieze & Pittel, Random Struct. Algorithms 12, 1998). Blossom bases
+live in a union-find (Gabow, J. ACM 23, 1976), the scratch arrays are
+allocated once per call and reset only where a search touched them, and the
+lowest common base is found by stamping, so one search works only on the
+vertices of its tree and never on all n. A contraction walks its two paths
+under the bases as they were and merges them after both walks. Returned
+matchings are deterministic (vertices are scanned in index order) but not
+canonical; consumers should rely only on size and saturation structure.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, check_vertex_set
@@ -107,6 +112,7 @@ def hopcroft_karp(
     adj: Sequence[Sequence[int]],
     n_right: int,
     initial: tuple[list[int], list[int]] | None = None,
+    roots: Iterable[int] | None = None,
 ) -> tuple[list[int], list[int]]:
     """Maximum bipartite matching; adj[u] lists the right indices (below
     n_right) adjacent to left index u. Returns (match_left, match_right):
@@ -114,20 +120,29 @@ def hopcroft_karp(
 
     initial, a matching in that form to start from, is augmented in place
     and returned, so a near-maximum start leaves few phases to run.
+
+    roots, distinct left indices, are the only vertices the phases start
+    from; None means every left index. A free left vertex left out of roots
+    is never matched: no path from a root reaches it, since the path enters
+    a left vertex only through its matched right partner. So the result is
+    a maximum matching of the graph minus the free left vertices left out,
+    and it is maximum for the whole graph when the caller knows that removing
+    them loses nothing. With roots empty, or all matched, initial comes back
+    untouched. Each phase makes one O(n_left) pass to reset the BFS layers;
+    the rest of its work is over the free roots and what they reach.
     """
     n_left = len(adj)
     INF = n_left + 1
     match_left, match_right = initial or ([-1] * n_left, [-1] * n_right)
-    dist = [0] * n_left
+    free = [u for u in (range(n_left) if roots is None else roots) if match_left[u] == -1]
+    dist: list[int] = []
 
     def bfs() -> int:
-        q: deque[int] = deque()
-        for u in range(n_left):
-            if match_left[u] == -1:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = INF
+        nonlocal dist
+        dist = [INF] * n_left
+        for u in free:
+            dist[u] = 0
+        q = deque(free)
         d_nil = INF
         while q:
             u = q.popleft()
@@ -170,13 +185,15 @@ def hopcroft_karp(
                     via.pop()
         return False
 
-    while True:
+    while free:
         d_nil = bfs()
         if d_nil == INF:
             break
-        for u in range(n_left):
-            if match_left[u] == -1:
-                dfs(u, d_nil)
+        # A search matches its own root and re-pairs only matched vertices,
+        # so every root still in free is unmatched when its turn comes.
+        for u in free:
+            dfs(u, d_nil)
+        free = [u for u in free if match_left[u] == -1]
     return match_left, match_right
 
 
@@ -325,39 +342,52 @@ def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int]
     return augment
 
 
-def _seed(adj: Sequence[Sequence[int]]) -> list[int]:
-    """A maximal matching to start the blossom searches from, as a mate list.
+def _seed(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int], int]:
+    """A maximal matching to start the blossom searches from, as a mate
+    list, with the core it leaves to search and its count of greedy picks.
 
     Karp-Sipser: while some unmatched vertex v has exactly one unmatched
     neighbour u, match v to u; otherwise match the next unmatched vertex in
     index order to its first unmatched neighbour. The peel never loses
     optimality (Karp & Sipser, FOCS 1981): a maximum matching of the still
     unmatched vertices that lacks uv leaves v free, so it matches u to some
-    w, and trading uw for uv keeps it maximum. Only a greedy pick can cost a
-    matching edge, which a blossom search then wins back; on a forest every
-    remainder has a leaf, so the peel alone is maximum.
+    w, and trading uw for uv keeps it maximum. A greedy pick uv costs at most
+    one matching edge: removing u and v takes at most two edges from a
+    maximum matching of the rest, and the pick puts one back. So
+    mu - |seed| <= picks, and on a forest, where every remainder has a leaf,
+    the peel alone is maximum.
+
+    The core C is the list, in index order, of the vertices that are
+    unmatched and still have an unmatched neighbour when the first greedy
+    pick is made; it is empty when there is none. The blossom searches
+    only from C (see blossom for why that is enough).
 
     Degrees count unmatched neighbours only. They are kept only when the
-    graph has a degree-1 vertex at all: without one the seed is the plain
-    greedy pass, and the degree list it built is all it spent.
+    graph has a degree-1 vertex at all: without one the first pick comes
+    before any peel, C is every vertex with a neighbour, and the seed is the
+    plain greedy pass over C.
     """
     n = len(adj)
     match = [-1] * n
     deg = list(map(len, adj))
+    picks = 0
     if 1 not in deg:
-        for v in range(n):
+        core = list(compress(range(n), deg))
+        for v in core:
             if match[v] == -1:
                 for u in adj[v]:
                     if match[u] == -1:
                         match[v] = u
                         match[u] = v
+                        picks += 1
                         break
-        return match
+        return match, core, picks
     # From here deg[v] is v's count of unmatched neighbours while v is
     # unmatched, and 0 once v is matched. An unmatched neighbour of an
     # unmatched vertex therefore always reads nonzero.
     pending = [v for v, d in enumerate(deg) if d == 1]
     push = pending.append
+    core: list[int] | None = None
     nxt = 0
     while True:
         if pending:
@@ -368,11 +398,14 @@ def _seed(adj: Sequence[Sequence[int]]) -> list[int]:
             # No unmatched vertex has one unmatched neighbour: the greedy
             # pick. A vertex passed over is matched or has no unmatched
             # neighbour left, and stays so, so the scan never turns back.
+            if core is None:
+                core = list(compress(range(n), deg))
             while nxt < n and not deg[nxt]:
                 nxt += 1
             if nxt == n:
-                return match
+                return match, core, picks
             v = nxt
+            picks += 1
         for u in adj[v]:
             if deg[u]:
                 break
@@ -389,29 +422,48 @@ def _seed(adj: Sequence[Sequence[int]]) -> list[int]:
                     push(w)
 
 
-def blossom(adj: Sequence[Sequence[int]]) -> list[int]:
-    """Maximum matching of the simple graph with adjacency lists adj, as a
-    mate list: mate[v] is v's partner, or -1 when v is unmatched.
+def blossom(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Maximum matching of the simple graph with adjacency lists adj.
 
-    A Karp-Sipser seed first (_seed): a vertex with exactly one unmatched
-    neighbour is matched to it, which never loses optimality, and when no
-    such vertex is left the next unmatched vertex takes its first unmatched
-    neighbour. Without a degree-1 vertex in the graph the seed keeps no
-    degrees and is that greedy pass alone. Then one blossom search runs per
-    vertex the seed leaves unmatched; on sparse random graphs the peel
-    leaves few of them.
+    Returns (mate, roots): mate[v] is v's partner, or -1 when v is
+    unmatched, and roots lists in index order the vertices of the seed's
+    core C that are still unmatched. Every other unmatched vertex is in Z
+    below; hopcroft_karp needs to start only from roots (see
+    critical._CriticalStructure).
+
+    A Karp-Sipser seed first (_seed). Then, if it made any greedy pick, one
+    blossom search over the full adjacency per vertex of C still unmatched
+    when its turn comes, stopping once there have been as many successes as
+    picks; with no pick, no search at all.
+
+    Why that is maximum. Let P be the peels before the first greedy pick
+    (all of them if there is none), U the vertices they leave unmatched, C
+    as in _seed and Z = U - C, the vertices of U with no neighbour in U.
+    Peels keep optimality, so mu(G) = |P| + mu(G[U]) = |P| + mu(G[C]). Let
+    Z' be the vertices of Z still unmatched at the end; G - Z' keeps P and
+    G[C], so mu(G - Z') = mu(G). If the searches stop at `picks` successes
+    the matching has |seed| + picks >= mu edges and is maximum. Otherwise
+    every vertex of C unmatched at the end had a search, and it failed. A
+    failed search stays failed after later augmentations (Edmonds), and an
+    augmentation never unmatches a vertex, so no augmenting path starts at
+    a vertex of C. Every vertex of G - Z' that is unmatched lies in C, so
+    G - Z' has no augmenting path: the matching is maximum there, so of
+    size mu(G).
     """
-    match = _seed(adj)
-    augment = _augmenter(adj, match)
-    for v in range(len(adj)):
-        if match[v] == -1:
-            augment(v)
-    return match
+    match, core, picks = _seed(adj)
+    if picks:
+        augment = _augmenter(adj, match)
+        for v in core:
+            if match[v] == -1 and augment(v):
+                picks -= 1
+                if not picks:
+                    break
+    return match, [v for v in core if match[v] == -1]
 
 
 def max_matching_general(g: Graph) -> Matching:
     """Maximum matching in an arbitrary simple graph (handles odd cycles)."""
-    mate = blossom(g.adj)
+    mate, _ = blossom(g.adj)
     return Matching(g, ((u, mate[u]) for u in range(g.n) if mate[u] > u))
 
 

@@ -246,9 +246,9 @@ def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
         return kernel(*args)
 
     def counted_blossom(adj):
-        mate = blossom(adj)
+        mate, roots = blossom(adj)
         mates.append(mate[:])
-        return mate
+        return mate, roots
 
     monkeypatch.setattr(critical, "hopcroft_karp", counted)
     monkeypatch.setattr(critical, "blossom", counted_blossom)

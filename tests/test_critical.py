@@ -32,7 +32,7 @@ from critind import (
     neighborhood,
 )
 from critind import critical
-from strategies import graphs, permuted, random_pendants, sparse_graph
+from strategies import graphs, graphs_with_pendants, permuted, random_pendants, sparse_graph
 
 
 def edgeless(n):
@@ -357,6 +357,22 @@ def test_find_critical_matches_konig_cover_beyond_oracle_bound(n, c):
 @pytest.mark.parametrize(("n", "c"), [(500, 2), (1000, 3), (2000, 4), (3000, 5), (3000, 2)])
 def test_d_matches_networkx_beyond_oracle_bound(n, c):
     g = sparse_graph(n, c, seed=7 * n + c)
+    assert critical_difference(g) == networkx_d(g)
+
+
+@pytest.mark.parametrize(("n", "c"), [(n, c) for n in (300, 1000, 3000) for c in (1.5, 2, 2.7)])
+def test_d_from_core_roots_matches_networkx_beyond_oracle_bound(n, c):
+    # Hopcroft-Karp starts only from the blossom's roots. Each graph here
+    # has unmatched vertices with neighbours that are no root.
+    g = sparse_graph(n, c, seed=19 * n + int(10 * c))
+    mate, roots = critical.blossom(g.adj)
+    assert any(mate[v] == -1 and v not in roots and g.adj[v] for v in range(n))
+    assert critical_difference(g) == networkx_d(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_with_pendants(max_n=16, max_pendants=24))
+def test_d_with_pendants_matches_networkx(g):
     assert critical_difference(g) == networkx_d(g)
 
 

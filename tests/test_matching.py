@@ -161,6 +161,12 @@ class TestHopcroftKarpKernel:
         # Centre on the right: the first leaf takes it.
         assert hopcroft_karp([[0], [0], [0]], 1) == ([0, -1, -1], [0])
 
+    def test_roots_limit_the_phases(self):
+        # Left 0 is free but no root, so it stays free and left 1 takes the
+        # right vertex they share; with no root at all nothing is matched.
+        assert hopcroft_karp([[0], [0]], 1, None, [1]) == ([-1, 0], [1])
+        assert hopcroft_karp([[0], [0]], 1, None, []) == ([-1, -1], [-1])
+
     def test_k33_perfect(self):
         match_left, match_right = hopcroft_karp([[0, 1, 2]] * 3, 3)
         assert sorted(match_left) == sorted(match_right) == [0, 1, 2]
@@ -344,7 +350,7 @@ def greedy_reference(adj):
 def assert_peel_is_maximum(g):
     # On a forest every nonempty remainder has a leaf, so the seed never
     # falls back to a greedy pick and needs no search.
-    mate = matching._seed(g.adj)
+    mate, _, _ = matching._seed(g.adj)
     Matching(g, ((u, w) for u, w in enumerate(mate) if w > u))  # validates it
     assert mate.count(-1) == g.n - 2 * assert_maximum(g)
 
@@ -417,6 +423,21 @@ class TestKarpSipserSeed:
         assert_maximum(g)
 
     @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], [(1, 5), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6)]],
+        ids=["diamond", "edge-and-diamond"],
+    )
+    def test_greedy_pick_that_costs_an_edge(self, edges):
+        # The one greedy pick takes a diamond's middle edge and strands both
+        # tips, so the seed is one edge short and exactly one search must
+        # succeed: the searches may stop after `picks` successes, no sooner.
+        g = Graph([f"v{i}" for i in range(max(map(max, edges)) + 1)], edges)
+        mate, _, picks = matching._seed(g.adj)
+        assert picks == 1
+        assert mate.count(-1) == g.n - 2 * (mu_exact(g) - 1)
+        assert_maximum(g)
+
+    @pytest.mark.parametrize(
         "g",
         [cycle(5), cycle(8), petersen(), two_triangles_bridge(),
          Graph([f"k{i}" for i in range(6)], [(i, j) for i in range(6) for j in range(i + 1, 6)]),
@@ -425,8 +446,75 @@ class TestKarpSipserSeed:
     )
     def test_no_degree_one_vertex_takes_the_greedy_seed(self, g):
         assert 1 not in map(len, g.adj)
-        assert matching._seed(g.adj) == greedy_reference(g.adj)
+        assert matching._seed(g.adj)[0] == greedy_reference(g.adj)
         assert_maximum(g)
+
+
+def skipped_roots(g):
+    """The vertices with a neighbour that the blossom leaves unmatched and
+    leaves out of its roots: no search and no Hopcroft-Karp phase starts
+    there, and only the proofs in matching.blossom and
+    critical._CriticalStructure say that none needs to."""
+    mate, roots = matching.blossom(g.adj)
+    rooted = set(roots)
+    return [v for v in range(g.n) if mate[v] == -1 and v not in rooted and g.adj[v]]
+
+
+CORE_GRAPHS = [(n, c) for n in (300, 1000, 3000) for c in (1.5, 2, 2.7)]
+
+
+@pytest.mark.parametrize(("n", "c"), CORE_GRAPHS)
+def test_core_search_is_maximum_beyond_oracle_bound(n, c):
+    g = sparse_graph(n, c, seed=19 * n + int(10 * c))
+    assert_maximum(g)
+    assert skipped_roots(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs_with_pendants(max_n=16, max_pendants=24))
+def test_core_search_with_pendants_beyond_oracle_bound(g):
+    assert_maximum(g)
+
+
+class TestNoGreedyPick:
+    """A seed that makes no greedy pick is maximum: no search is built, no
+    root is left, and Hopcroft-Karp given no root hands its start back."""
+
+    @staticmethod
+    def check(g, monkeypatch):
+        assert matching._seed(g.adj)[1:] == ([], 0)
+        mu = assert_maximum(g)
+        built = []
+        augmenter = matching._augmenter
+
+        def counted(adj, match):
+            built.append(adj)
+            return augmenter(adj, match)
+
+        monkeypatch.setattr(matching, "_augmenter", counted)
+        mate, roots = matching.blossom(g.adj)
+        assert built == []
+        assert roots == []
+        assert mate.count(-1) == g.n - 2 * mu
+        initial = (mate, mate[:])
+        before = (mate[:], mate[:])
+        match_left, match_right = hopcroft_karp(g.adj, g.n, initial, [])
+        assert match_left is initial[0] and match_right is initial[1]
+        assert (match_left, match_right) == before
+
+    @pytest.mark.parametrize("n", [2, 30, 300, 1000])
+    def test_forests(self, n, monkeypatch):
+        rng = random.Random(n + 1)
+        for _ in range(3):
+            self.check(random_forest(n, rng), monkeypatch)
+
+    @pytest.mark.parametrize(("spine", "legs"), [(1, 3), (7, 2), (500, 2)])
+    def test_caterpillars(self, spine, legs, monkeypatch):
+        self.check(caterpillar(spine, legs, random.Random(spine + legs)), monkeypatch)
+
+    @pytest.mark.parametrize(("n", "seed"), [(300, 0), (1000, 0), (3000, 0)])
+    def test_sparse_seeds_without_a_pick(self, n, seed, monkeypatch):
+        self.check(sparse_graph(n, 2, seed), monkeypatch)
 
 
 @settings(max_examples=80)
@@ -467,11 +555,15 @@ def check_warm_start(adj, n_right, rnd):
             initial[0][u] = w
             initial[1][w] = u
     cold_left, _ = hopcroft_karp(adj, n_right)
+    # roots=None starts from every left index; naming every free one instead
+    # must give the very same matching.
+    rooted = ([side[:] for side in initial], [u for u, j in enumerate(initial[0]) if j == -1])
     match_left, match_right = hopcroft_karp(adj, n_right, initial)
     assert all(match_right[j] == u for u, j in enumerate(match_left) if j != -1)
     assert all(match_left[u] == j for j, u in enumerate(match_right) if u != -1)
     assert all(j in adj[u] for u, j in enumerate(match_left) if j != -1)
     assert sum(j != -1 for j in match_left) == sum(j != -1 for j in cold_left)
+    assert hopcroft_karp(adj, n_right, *rooted) == (match_left, match_right)
 
 
 @settings(max_examples=80)
