@@ -16,15 +16,18 @@ characterizes every critical set at once:
 
 The family of critical sets is therefore a lattice of closed sets, and
 membership questions (does some critical independent set contain J?) reduce
-to a closure plus a disjointness test against N(J). The greedy maximum
-critical independent set and the diadem build each closure once per strongly
-connected component, as a bitset, so both scans are O(n + m) bitset tests
-of "N(v) misses X_min and some closure bits"; the theorems that make that
-test enough are proved where they are used. Single queries keep a plain
-closure walk that relies on none of them: the scans' judge in the test suite
-beyond the exhaustive oracle's bound. bipartite_double, forced_difference and
-the Konig cover in matching.py stay public as independent cross-checks; no
-production answer goes through them.
+to a closure plus a disjointness test against N(J). One Tarjan walk over the
+free vertices, mapping the matching over the adjacency as it goes, builds
+each closure once per strongly connected component, as a bitset, folding the
+closures it reaches into it on the way; no successor lists are stored. One
+scan of the free vertices then yields both the greedy maximum critical
+independent set and the diadem, with O(n + m) bitset tests of "N(v) misses
+some closure bits"; the theorems that make that test enough are proved where
+they are used. Single queries keep a plain closure walk over stored
+successor lists that relies on none of them: the scan's judge in the test
+suite beyond the exhaustive oracle's bound. bipartite_double,
+forced_difference and the Konig cover in matching.py stay public as
+independent cross-checks; no production answer goes through them.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 from .graph import Graph, check_vertex_set, induced_subgraph, neighborhood
@@ -99,12 +103,14 @@ def bipartite_double(g: Graph) -> BipartiteDouble:
 
 
 class _CriticalStructure:
-    """mu(G), a maximum matching of B(G) and the closure graph over original
-    vertices.
+    """mu(G), a maximum matching of B(G) and the closure structure over
+    original vertices.
 
     succ[u] lists the matched partners of u's mirrored neighbors; a critical
     set is exactly a succ-closed set that contains every unmatched original
-    and no forbidden vertex, one with an unmatched mirrored neighbor.
+    and no forbidden vertex, one with an unmatched mirrored neighbor. Only
+    right_match is kept: the walks map it over adj as they go, and succ and
+    forbidden are built on first use, by extends alone.
 
     Holds g.adj, not g: a reference to g from this value of the weak cache
     keyed by g would keep g alive forever.
@@ -124,8 +130,8 @@ class _CriticalStructure:
     def __init__(self, g: Graph):
         n = g.n
         self.n = n
-        self.adj = g.adj
-        mate, roots = blossom(g.adj)
+        self.adj = adj = g.adj
+        mate, roots = blossom(adj)
         self.mu = (n - mate.count(-1)) // 2
         # HK on B(G) without building it: left u is original u, right v is
         # the mirror of v, and original u sees the mirrors of its neighbours.
@@ -133,32 +139,37 @@ class _CriticalStructure:
         # mate[u], and the mirror of v is held by mate[v]. So it makes only
         # the few augmentations left, and its phases start only from the
         # blossom's roots, the few vertices the peel has not settled.
-        left_match, right_match = hopcroft_karp(g.adj, n, (mate, mate[:]), roots)
+        left_match, right_match = hopcroft_karp(adj, n, (mate, mate[:]), roots)
         self.d = left_match.count(-1)
-
-        # Distinct mirrors have distinct partners, so outs has no repeats. It
-        # may hold u itself, a self-loop that changes no closure.
-        succ: list[tuple[int, ...]] = []
-        forbidden = [False] * n
-        for u in range(n):
-            outs = [right_match[w] for w in g.adj[u]]
-            forbidden[u] = -1 in outs
-            succ.append(() if forbidden[u] else tuple(outs))
-        self.succ = succ
-        self.forbidden = forbidden
+        self.right_match = right_match
 
         # Minimum critical set: closure of the unmatched originals.
         in_xmin = bytearray(x == -1 for x in left_match)
-        stack = [u for u in range(n) if in_xmin[u]]
+        stack = list(compress(range(n), in_xmin))
+        partner = right_match.__getitem__
         while stack:
-            u = stack.pop()
-            assert not forbidden[u], "minimum critical set hit a forbidden vertex"
-            for x in succ[u]:
+            for x in map(partner, adj[stack.pop()]):
+                assert x >= 0, "minimum critical set hit a forbidden vertex"
                 if not in_xmin[x]:
                     in_xmin[x] = 1
                     stack.append(x)
         self.in_xmin = in_xmin
-        self.x_min = frozenset(u for u in range(n) if in_xmin[u])
+        self.x_min = frozenset(compress(range(n), in_xmin))
+
+    @cached_property
+    def forbidden(self) -> list[bool]:
+        """forbidden[u]: some mirrored neighbour of u is unmatched."""
+        right_match = self.right_match
+        return [any(right_match[w] == -1 for w in nbrs) for nbrs in self.adj]
+
+    @cached_property
+    def succ(self) -> list[tuple[int, ...]]:
+        """succ[u]: the matched partners of u's mirrored neighbours, () for a
+        forbidden u. Distinct mirrors have distinct partners, so there are no
+        repeats; it may hold u itself, a self-loop that changes no closure."""
+        partner = self.right_match.__getitem__
+        return [() if f else tuple(map(partner, nbrs))
+                for f, nbrs in zip(self.forbidden, self.adj)]
 
     @cached_property
     def _closures(self) -> tuple[list[int], list[int]]:
@@ -173,21 +184,33 @@ class _CriticalStructure:
         alternating path, and succ from C_L stays in C_L + D_L.
 
         So an iterative Tarjan condenses succ outside X_min + N(X_min),
-        popping components sinks first; each ORs in its successors' closures
-        and adds its own run of bits, 0 .. free - 1. Memory is at most
-        (free vertices)^2 / 8 bytes.
+        popping components sinks first, each with its own run of bits,
+        0 .. free - 1. A frame maps right_match over adj[x] itself: x is free,
+        so outside N(X_min), which holds every forbidden vertex, and no
+        partner is -1. The closure ORs ride along. An arc to a done vertex,
+        whose component has popped, ORs its closure into acc[u]. A non-root
+        u folds acc[u] into its DFS parent when it finishes: every vertex on
+        the tree path from a component's root to u lies in u's component, so
+        the parent does too, and the root gathers what its component reaches.
+        An arc to a vertex still on the stack stays inside u's component, as
+        that vertex's root is an ancestor of u. The root then sets the
+        closure to acc | its component's bits and folds it into its own
+        parent. Each fold clears the acc it read, so only the frames on the
+        DFS path hold one. Memory is at most (free vertices)^2 / 8 bytes.
         """
         n = self.n
-        succ = self.succ
+        adj = self.adj
+        partner = self.right_match.__getitem__
         # index[u] is -1 until u is visited, and n once u is done (X_min,
         # N(X_min) or a popped component), so such u never lowers a low-link.
         index = [n if x else -1 for x in self.in_xmin]
         for u in self.x_min:
-            for w in self.adj[u]:
+            for w in adj[u]:
                 index[w] = n
         low = [0] * n
         bit = [-1] * n
         closure = [0] * n
+        acc = [0] * n
         counter = nbits = 0
         stack: list[int] = []
         for root in range(n):
@@ -196,51 +219,90 @@ class _CriticalStructure:
             index[root] = low[root] = counter
             counter += 1
             stack.append(root)
-            work = [(root, iter(succ[root]), 0)]
+            work = [(root, map(partner, adj[root]), 0)]
             while work:
                 u, it, height = work[-1]
                 for x in it:
-                    if index[x] == -1:
+                    i = index[x]
+                    if i == -1:
                         index[x] = low[x] = counter
                         counter += 1
-                        work.append((x, iter(succ[x]), len(stack)))
+                        work.append((x, map(partner, adj[x]), len(stack)))
                         stack.append(x)
                         break
-                    if index[x] < low[u]:
-                        low[u] = index[x]
+                    if i == n:
+                        acc[u] |= closure[x]
+                    elif i < low[u]:
+                        low[u] = i
                 else:
                     work.pop()
-                    if work and low[u] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[u]
                     if low[u] != index[u]:
+                        parent = work[-1][0]
+                        if low[u] < low[parent]:
+                            low[parent] = low[u]
+                        acc[parent] |= acc[u]
+                        acc[u] = 0
                         continue
                     members = stack[height:]
                     del stack[height:]
-                    cl = ((1 << len(members)) - 1) << nbits
+                    cl = acc[u] | ((1 << len(members)) - 1) << nbits
+                    acc[u] = 0
                     for y in members:
                         index[y] = n
                         bit[y] = nbits
                         nbits += 1
-                        for x in succ[y]:
-                            cl |= closure[x]  # 0 for members, X_min, N(X_min)
-                    for y in members:
                         closure[y] = cl
+                    if work:
+                        acc[work[-1][0]] |= cl
         return bit, closure
 
-    def _nbrs_miss(self, v: int, bits: int, bit: list[int]) -> bool:
-        """Does N(v) miss X_min and the free vertices in bits?"""
-        in_xmin = self.in_xmin
-        for w in self.adj[v]:
-            b = bit[w]
-            if in_xmin[w] or b >= 0 and bits >> b & 1:
-                return False
-        return True
+    @cached_property
+    def _scans(self) -> tuple[frozenset[int], frozenset[int]]:
+        """(I, diadem): the greedy maximum critical independent set in index
+        order, and the vertices lying in some critical independent set.
+
+        v lies in one iff N(v) misses X_min + Cl(v); with I kept so far, v
+        extends I iff N(v) misses U = X_min + Cl(I) + Cl(v), and that Cl(v)
+        misses N(I) follows. U is closed (v, outside N(X_min), is not
+        blocked), so critical, and v is not in N(U), so U - N(U), critical
+        too, holds v and so Cl(v). A w in Cl(v) and in N(I) would lie in
+        U - N(U) and in N(U) at once.
+
+        One pass over the free vertices alone settles both. An X_min vertex
+        always passes and adds no bits (X_min is independent and its
+        neighbours are blocked); an N(X_min) vertex always fails. A free v
+        has no neighbour in X_min, by definition, so its test is the bit test
+        alone. The greedy tests only diadem members, and only against Cl(I):
+        if N(v) met Cl(v), it would meet Cl(I) + Cl(v) too.
+        """
+        bit, closure = self._closures
+        adj = self.adj
+        x_bits = 0  # the free part of X_min + Cl(I)
+        chosen: list[int] = []
+        dia: list[int] = []
+        for v in compress(range(self.n), map((-1).__lt__, bit)):  # bit[v] >= 0
+            cv = closure[v]
+            for w in adj[v]:
+                b = bit[w]
+                if b >= 0 and cv >> b & 1:
+                    break
+            else:
+                dia.append(v)
+                for w in adj[v]:
+                    b = bit[w]
+                    if b >= 0 and x_bits >> b & 1:
+                        break
+                else:
+                    x_bits |= cv
+                    chosen.append(v)
+        return self.x_min.union(chosen), self.x_min.union(dia)
 
     def extends(self, members: frozenset[int]) -> bool:
         """Is there a critical independent set containing all of members?
 
-        A plain closure walk, sharing nothing with the scans' bitsets; it fails
-        on meeting N(members) or a forbidden vertex (X_min, skipped, has none).
+        A plain closure walk over succ, sharing nothing with the scans'
+        bitsets; it fails on meeting N(members) or a forbidden vertex (X_min,
+        skipped, has none).
         """
         if not members:
             return True
@@ -264,31 +326,6 @@ class _CriticalStructure:
                 if not self.in_xmin[x] and x not in seen:
                     stack.append(x)
         return True
-
-    def greedy_max_critical_independent_set(self) -> frozenset[int]:
-        """Scan vertices in index order, keeping those that still extend.
-
-        With I kept so far, v extends I iff N(v) misses U = X_min + Cl(I) +
-        Cl(v); that Cl(v) misses N(I) follows. U is closed (v, outside
-        N(X_min), is not blocked), so critical, and v is not in N(U), so
-        U - N(U), critical too, holds v and so Cl(v). A w in Cl(v) and in N(I)
-        would lie in U - N(U) and in N(U) at once.
-        """
-        bit, closure = self._closures
-        x_bits = 0  # the free part of X_min + Cl(I)
-        chosen: list[int] = []
-        for v in range(self.n):
-            reach = x_bits | closure[v]
-            if self._nbrs_miss(v, reach, bit):
-                x_bits = reach
-                chosen.append(v)
-        return frozenset(chosen)
-
-    def diadem(self) -> frozenset[int]:
-        """Vertices lying in some critical independent set: v with N(v)
-        missing X_min and Cl(v). A blocked v has a neighbour in X_min."""
-        bit, closure = self._closures
-        return frozenset(v for v in range(self.n) if self._nbrs_miss(v, closure[v], bit))
 
 
 _structures: "weakref.WeakKeyDictionary[Graph, _CriticalStructure]" = weakref.WeakKeyDictionary()
@@ -360,13 +397,13 @@ def max_critical_independent_set(g: Graph) -> frozenset[int]:
     Greedy is exact here: any partial set that extends is contained in a
     maximum critical independent set, whose members all pass their tests.
     """
-    return _structure(g).greedy_max_critical_independent_set()
+    return _structure(g)._scans[0]
 
 
 def diadem(g: Graph) -> frozenset[int]:
     """Union of all maximum critical independent sets: the vertices that
     individually extend to one."""
-    return _structure(g).diadem()
+    return _structure(g)._scans[1]
 
 
 def decompose(g: Graph) -> Decomposition:

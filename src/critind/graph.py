@@ -149,11 +149,16 @@ class Graph:
 
 
 def check_vertex_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    """Validate indices against g and return them as a frozenset."""
+    """Validate indices against g and return them as a frozenset.
+
+    One range test on min and max; only a failure walks the set, to name
+    the first bad index in its iteration order.
+    """
     fs = frozenset(s)
-    for v in fs:
-        if not (0 <= v < g.n):
-            raise IndexError(f"vertex index {v} out of range for n={g.n}")
+    if fs and not (0 <= min(fs) and max(fs) < g.n):
+        for v in fs:
+            if not (0 <= v < g.n):
+                raise IndexError(f"vertex index {v} out of range for n={g.n}")
     return fs
 
 

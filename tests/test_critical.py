@@ -1,11 +1,13 @@
 import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
 from critind import (
     ForcingConstraints,
+    analyze,
     GeneratorSpec,
     Graph,
     bipartite_double,
@@ -80,6 +82,56 @@ def assert_closures_mark_blocked(g):
     free = [u for u in range(g.n) if not blocked[u] and not s.in_xmin[u]]
     assert sorted(bit[u] for u in free) == list(range(len(free)))
     assert sum(b >= 0 for b in bit) == len(free)
+
+
+def reach_reference(g):
+    """reach[v]: the free vertices v reaches over succ minus X_min, as a
+    bitset in the closure walk's own bit numbering. Least-fixpoint iteration
+    of R(v) = {v} + the R(x) of v's free successors, from below, shares
+    nothing with the Tarjan walk and its folds; a DFS per vertex would take
+    seconds on the larger graphs here."""
+    s = critical._structure(g)
+    bit = s._closures[0]
+    free = [v for v in range(g.n) if bit[v] >= 0]
+    outs = {v: [x for x in s.succ[v] if not s.in_xmin[x]] for v in free}
+    reach = {v: 1 << bit[v] for v in free}
+    changed = True
+    while changed:
+        changed = False
+        for v in reversed(free):
+            r = reach[v]
+            for x in outs[v]:
+                r |= reach[x]
+            if r != reach[v]:
+                reach[v] = r
+                changed = True
+    return reach
+
+
+def assert_closures_are_reachability(g):
+    assert_closures_mark_blocked(g)
+    closure = critical._structure(g)._closures[1]
+    for v, r in reach_reference(g).items():
+        assert closure[v] == r, v
+
+
+def scans_reference(g):
+    """(I, diadem) by the scans' definition over all n vertices: v passes
+    when no neighbour lies in X_min or has its bit in the tested bits."""
+    s = critical._structure(g)
+    bit, closure = s._closures
+
+    def nbrs_miss(v, bits):
+        return not any(s.in_xmin[w] or bit[w] >= 0 and bits >> bit[w] & 1 for w in g.adj[v])
+
+    x_bits = 0
+    chosen = []
+    for v in range(g.n):
+        reach = x_bits | closure[v]
+        if nbrs_miss(v, reach):
+            x_bits = reach
+            chosen.append(v)
+    return frozenset(chosen), frozenset(v for v in range(g.n) if nbrs_miss(v, closure[v]))
 
 
 def networkx_d(g):
@@ -321,6 +373,66 @@ def test_scans_match_closure_walk_beyond_oracle_bound(n, c):
         if extends_to_critical_independent(g, chosen + [v]):
             chosen.append(v)
     assert max_critical_independent_set(g) == frozenset(chosen)
+
+
+FOLD_GRAPHS = [(n, c) for n in (300, 1000, 3000) for c in (1.5, 2, 2.7, 4)]
+
+
+@pytest.mark.parametrize(("n", "c"), FOLD_GRAPHS)
+def test_closures_are_reachability_beyond_oracle_bound(n, c):
+    # The closure ORs are folded into the Tarjan walk; each closure must
+    # still be exactly what its vertex reaches.
+    assert_closures_are_reachability(sparse_graph(n, c, seed=n + int(10 * c)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_pendants(max_n=16, max_pendants=24))
+def test_closures_are_reachability_with_pendants(g):
+    assert_closures_are_reachability(g)
+
+
+@pytest.mark.parametrize(("n", "c"), FOLD_GRAPHS)
+def test_one_scan_matches_full_scans_beyond_oracle_bound(n, c):
+    # The one scan visits only free vertices and tests the greedy only on
+    # diadem members.
+    g = sparse_graph(n, c, seed=n + int(10 * c))
+    assert (max_critical_independent_set(g), diadem(g)) == scans_reference(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_pendants(max_n=16, max_pendants=24))
+def test_one_scan_matches_full_scans_with_pendants(g):
+    assert (max_critical_independent_set(g), diadem(g)) == scans_reference(g)
+
+
+def test_analyze_builds_no_succ_beyond_oracle_bound():
+    g = sparse_graph(600, 2.7, seed=23)
+    analyze(g)
+    s = critical._structure(g)
+    assert "succ" not in vars(s) and "forbidden" not in vars(s)
+    # extends builds them on first use and still answers as before.
+    d = critical_difference(g)
+    rng = random.Random(23)
+    for v in rng.sample(range(g.n), 12):
+        j = frozenset([v])
+        via_forced = forced_difference(g, ForcingConstraints(j, neighborhood(g, j))) == d
+        assert extends_to_critical_independent(g, j) == via_forced
+    assert "succ" in vars(s) and "forbidden" in vars(s)
+    assert diadem(g) == frozenset(v for v in range(g.n) if extends_to_critical_independent(g, [v]))
+
+
+def test_closure_walk_peak_memory():
+    # Each fold clears the acc it read, so only the frames on the DFS path
+    # hold one. Keeping them all once doubled the peak.
+    g = sparse_graph(12000, 4, seed=5)
+    s = critical._CriticalStructure(g)
+    tracemalloc.start()
+    try:
+        s._closures
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * held
 
 
 @pytest.mark.parametrize(

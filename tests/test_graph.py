@@ -436,6 +436,16 @@ class TestSetPrimitives:
         with pytest.raises(IndexError):
             neighborhood(g1, [99])
 
+    @pytest.mark.parametrize("bad", [[0, -1, 3], [7, 2], [1, 120, 5], [-3, 2, 9], [8, -2, -9, 40]])
+    def test_out_of_range_message(self, g1, bad):
+        # g1 has n = 7. The error names the first bad index in the set's
+        # own iteration order, whether it is negative or too large.
+        first = next(v for v in frozenset(bad) if not 0 <= v < 7)
+        message = rf"^vertex index {first} out of range for n=7$"
+        for fn in (neighborhood, difference, is_independent, label_set, induced_subgraph):
+            with pytest.raises(IndexError, match=message):
+                fn(g1, bad)
+
     def test_difference(self, gf, g2):
         assert difference(gf, gf.indices("abc")) == 1
         assert difference(gf, []) == 0
