@@ -9,18 +9,28 @@ sorts each list; only a list that holds a repeat (a duplicate edge, or a
 self-loop) is deduplicated through a set. The range and self-loop checks look
 at the whole graph once, and only when they fail are the edges walked again
 in order to name the first bad one. So a graph costs two appends per edge and
-a sort and a set per vertex, with no Python-level test per edge. The edge-list
-parser streams over the lines, splits each one once, looks every label up in
-a dict and interns only labels it has not seen; it never holds more than one
-line's tokens. A text of 1000 vertices and 50k edges parses in about 0.04
-calibrated seconds (see bench/run.py), and tracemalloc sees a peak of about
-6.3 MiB beyond the text itself.
+a sort and a set per vertex, with no Python-level test per edge.
+
+The edge-list parser reads the text in blocks of about 64 KiB that end at a
+newline. A block in the canonical layout that to_edge_list writes (lines
+"a b", then lines of one label, each ending in a newline) is recognised from
+its whitespace and its token count, split once, and interned by mapping one
+dict over its tokens, all at C level; its endpoints join two flat int lists,
+with no tuple per edge. Every other block, and a canonical one that holds an error, goes
+through the per-line loop, which alone names lines; so the graph and every
+error message are those of a per-line parse of the whole text. The
+dense-matched text of bench/run.py (1000 vertices, about 50k edges) parses in
+about 0.021 calibrated seconds, Graph construction included, and
+tracemalloc sees a peak of about 2.7 MiB beyond the text itself.
 """
 
 from __future__ import annotations
 
+import operator
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import count, islice
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -50,6 +60,12 @@ __all__ = [
 # 150 MB and 2 s to parse and analyze.
 MAX_DIMACS_VERTICES = 200_000
 
+# The edge-list parser tests text for the canonical layout about this many
+# characters at a time.
+_BLOCK = 1 << 16
+# Every ASCII character str.split() does not split at.
+_NOT_SPACE = bytes(c for c in range(128) if not chr(c).isspace())
+
 
 class ParseError(ValueError):
     """Raised for malformed graph text; carries the offending line number."""
@@ -59,6 +75,18 @@ class ParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class _Edges:
+    """The edges (us[i], vs[i]) as a re-iterable, with no tuple per edge."""
+
+    __slots__ = ("us", "vs")
+
+    def __init__(self, us: list[int], vs: list[int]):
+        self.us, self.vs = us, vs
+
+    def __iter__(self):
+        return zip(self.us, self.vs)
 
 
 class Graph:
@@ -86,7 +114,7 @@ class Graph:
                 if name in seen:
                     raise ValueError(f"duplicate vertex label {name!r}")
                 seen.add(name)
-        if not isinstance(edges, list):
+        if iter(edges) is edges:
             edges = list(edges)  # walked twice when an edge is bad
         nbrs: list[list[int]] = [[] for _ in range(n)]
         bad = False
@@ -226,62 +254,112 @@ def parse_graph(text: str, format: str = "edge_list") -> Graph:
 
 
 def _parse_edge_list(text: str) -> Graph:
-    labels: list[str] = []
-    index: dict[str, int] = {}
+    # Label -> index, handed out in first-appearance order; its keys, in
+    # insertion order, are the label list.
+    index: defaultdict[str, int] = defaultdict(count().__next__)
     get = index.get
-    edges: list[tuple[int, int]] = []
-    add = edges.append
-    lines = enumerate(text.splitlines(), start=1)
-    comments = "#" in text
+    us: list[int] = []  # edge i joins us[i] and vs[i]
+    vs: list[int] = []
+    n = m = None  # the header's counts, once read
 
     def intern(name: str, lineno: int) -> int:
         """Index for a label not seen before, if the header leaves room."""
-        if len(labels) >= n:
+        if len(index) >= n:
             raise ParseError(f"unknown label {name!r}: header declares only {n} vertices", lineno)
-        index[name] = i = len(labels)
-        labels.append(name)
-        return i
+        return index[name]
 
-    for lineno, raw in lines:
-        tokens = (raw.split("#", 1)[0] if comments else raw).split()
-        if not tokens:
-            continue
-        if len(tokens) != 2:
-            raise ParseError("expected header 'n m'", lineno)
-        try:
-            n, m = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError("expected header 'n m'", lineno) from None
-        if n < 0 or m < 0:
-            raise ParseError("vertex/edge counts must be non-negative", lineno)
-        break
-    else:
+    def per_line(block: str, lineno: int) -> int:
+        """Parse block line by line, numbering its lines after the lineno
+        before it; return how many lines it holds."""
+        nonlocal n, m
+        rows = block.splitlines()
+        lines = enumerate(rows, start=lineno + 1)
+        comments = "#" in block
+        if n is None:
+            for lineno, raw in lines:
+                tokens = (raw.split("#", 1)[0] if comments else raw).split()
+                if not tokens:
+                    continue
+                if len(tokens) != 2:
+                    raise ParseError("expected header 'n m'", lineno)
+                try:
+                    n, m = int(tokens[0]), int(tokens[1])
+                except ValueError:
+                    raise ParseError("expected header 'n m'", lineno) from None
+                if n < 0 or m < 0:
+                    raise ParseError("vertex/edge counts must be non-negative", lineno)
+                break
+        for lineno, raw in lines:
+            tokens = (raw.split("#", 1)[0] if comments else raw).split()
+            if len(tokens) == 2:
+                a, b = tokens
+                u = get(a)
+                if u is None:
+                    u = intern(a, lineno)
+                v = get(b)
+                if v is None:
+                    v = intern(b, lineno)
+                if u == v:
+                    raise ParseError(f"self-loop at {a!r}", lineno)
+                us.append(u)
+                vs.append(v)
+            elif len(tokens) == 1:
+                if tokens[0] not in index:
+                    intern(tokens[0], lineno)
+            elif tokens:
+                raise ParseError("expected 'u v' (edge) or 'u' (isolated vertex)", lineno)
+        return len(rows)
+
+    def canonical(block: str) -> int:
+        """Parse a block in the canonical layout at C level and return how
+        many lines it holds; return 0, with nothing changed, for any other
+        block and for one that per_line would reject."""
+        if "#" in block or not block.isascii() or block[-1] != "\n":
+            return 0
+        # ASCII, so one byte per character. Its whitespace, in order, must be
+        # that of k lines "a b" and then lines of one label. Since the block
+        # ends in whitespace, it holds as many tokens as whitespace characters
+        # iff each of those follows a token: no blank line, and no leading or
+        # doubled whitespace.
+        seps = block.encode().translate(None, _NOT_SPACE)
+        k = seps.count(b" ")
+        lines = len(seps) - k
+        if seps != b" \n" * k + b"\n" * (lines - k):
+            return 0
+        tokens = block.split()
+        if len(tokens) != len(seps):
+            return 0
+        before = len(index)
+        ids = list(map(index.__getitem__, tokens))
+        a, b = ids[0 : 2 * k : 2], ids[1 : 2 * k : 2]
+        if len(index) > n or any(map(operator.eq, a, b)):
+            # Unintern the block's new labels, so that per_line meets them
+            # as new and raises at the line that names the first bad one.
+            for name in list(islice(reversed(index), len(index) - before)):
+                del index[name]
+            index.default_factory = count(before).__next__
+            return 0
+        us.extend(a)
+        vs.extend(b)
+        return lines
+
+    # Blocks end at a newline, so they split into the same lines as the
+    # whole text. The first block is the first line: the header, in the
+    # canonical layout.
+    pos = lineno = 0
+    while pos < len(text):
+        end = text.find("\n", pos and pos + _BLOCK) + 1 or len(text)
+        block = text[pos:end]
+        lineno += (n is not None and canonical(block)) or per_line(block, lineno)
+        pos = end
+
+    if n is None:
         raise ParseError("missing header 'n m'", 1)
-
-    for lineno, raw in lines:
-        tokens = (raw.split("#", 1)[0] if comments else raw).split()
-        if len(tokens) == 2:
-            a, b = tokens
-            u = get(a)
-            if u is None:
-                u = intern(a, lineno)
-            v = get(b)
-            if v is None:
-                v = intern(b, lineno)
-            if u == v:
-                raise ParseError(f"self-loop at {a!r}", lineno)
-            add((u, v))
-        elif len(tokens) == 1:
-            if tokens[0] not in index:
-                intern(tokens[0], lineno)
-        elif tokens:
-            raise ParseError("expected 'u v' (edge) or 'u' (isolated vertex)", lineno)
-
-    if len(labels) != n:
-        raise ParseError(f"header declares {n} vertices but {len(labels)} were named")
-    if len(edges) != m:
-        raise ParseError(f"header declares {m} edges but {len(edges)} edge lines found")
-    return Graph(labels, edges)
+    if len(index) != n:
+        raise ParseError(f"header declares {n} vertices but {len(index)} were named")
+    if len(us) != m:
+        raise ParseError(f"header declares {m} edges but {len(us)} edge lines found")
+    return Graph(index, _Edges(us, vs))
 
 
 def _parse_dimacs(text: str) -> Graph:

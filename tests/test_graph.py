@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 from types import SimpleNamespace
@@ -23,8 +24,8 @@ from critind import (
     parse_graph,
     to_edge_list,
 )
-from critind.graph import MAX_DIMACS_VERTICES
-from strategies import dimacs_text, graphs
+from critind.graph import _BLOCK, MAX_DIMACS_VERTICES
+from strategies import dimacs_text, graphs, sparse_graph
 
 G1_TEXT = "7 7\na e\nb e\nc e\nc f\nc g\nd g\nf g"
 
@@ -223,9 +224,9 @@ def test_parsers_match_per_line_reference(text):
 
 
 def test_parse_peak_memory():
-    # About 50k edge lines. The streaming parse peaks near 6.3 MiB. One set
-    # per vertex peaked at 12 MiB, and the token lists of every line, held
-    # at once, take 16 MiB by themselves.
+    # About 50k edge lines. The block parse peaks near 2.7 MiB, the line
+    # loop it replaced near 6.3 MiB. One set per vertex peaked at 12 MiB, and
+    # the token lists of every line, held at once, take 16 MiB by themselves.
     text = to_edge_list(gnp(1000, 0.1, seed=7))
     tracemalloc.start()
     try:
@@ -235,6 +236,161 @@ def test_parse_peak_memory():
         tracemalloc.stop()
     assert g.m > 45_000
     assert peak < 8 * 2**20
+
+
+@functools.cache
+def _multi_block_text():
+    """to_edge_list text of a sparse graph with isolated vertices, a little
+    over four parse blocks long."""
+    text = to_edge_list(sparse_graph(20000, 2, 3))
+    assert len(text) > 4 * _BLOCK
+    return text
+
+
+def _line_in_block(text, blocks):
+    """Start of the first line at least `blocks` parse blocks into text."""
+    return text.index("\n", int(blocks * _BLOCK)) + 1
+
+
+def _edge_line(text, at):
+    return text[at : text.index("\n", at)].split(" ")
+
+
+def _replace_line(text, at, line):
+    return text[:at] + line + text[text.index("\n", at) :]
+
+
+def _with_header(text, n, m):
+    return f"{n} {m}" + text[text.index("\n") :]
+
+
+def _self_loop(text, at):
+    a, _ = _edge_line(text, at)
+    return _replace_line(text, at, f"{a} {a}")
+
+
+def _label_past_count(text, at):
+    # The header declares only the labels named before this line, which
+    # names a new one.
+    a, _ = _edge_line(text, at)
+    named = len(set(text[text.index("\n") : at].split()))
+    m = text[: text.index("\n")].split()[1]
+    return _with_header(_replace_line(text, at, f"{a} fresh"), named, m)
+
+
+def _three_tokens(text, at):
+    a, b = _edge_line(text, at)
+    return _replace_line(text, at, f"{a} {b} {a}")
+
+
+def _tab(text, at):
+    a, b = _edge_line(text, at)
+    return _replace_line(text, at, f"{a}\t{b}")
+
+
+def _crlf_from(text, at):
+    return text[:at] + text[at:].replace("\n", "\r\n")
+
+
+def _comment(text, at):
+    # No space before the '#': were comments not cut, this line would read
+    # as an edge to the label 'b#note'.
+    a, b = _edge_line(text, at)
+    return _replace_line(text, at, f"{a} {b}#note")
+
+
+def _isolated_among_edges(text, at):
+    a, _ = _edge_line(text, at)
+    return text[:at] + f"{a}\n" + text[at:]
+
+
+def _reversed_duplicate(text, at):
+    a, b = _edge_line(text, at)
+    n, m = text[: text.index("\n")].split()
+    return _with_header(text[:at] + f"{b} {a}\n" + text[at:], n, int(m) + 1)
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [_self_loop, _label_past_count, _three_tokens, _tab, _crlf_from, _comment,
+     _isolated_among_edges, _reversed_duplicate],
+)
+def test_multi_block_text_matches_per_line_reference(defect):
+    # One defect in the third of the five blocks after the header line; the
+    # blocks before and after it are in the canonical layout.
+    text = _multi_block_text()
+    text = defect(text, _line_in_block(text, 2.5))
+    expected = _outcome(lambda: per_line_reference(text, "edge_list"))
+    assert _outcome(lambda: parse_graph(text)) == expected
+
+
+def test_multi_block_isolated_lines_interleaved_and_trailing():
+    text = _multi_block_text()
+    header, body = text.split("\n", 1)
+    lines = body.splitlines(keepends=True)
+    isolated = [i for i, line in enumerate(lines) if " " not in line]
+    assert len(isolated) > 100
+    # Every second isolated line moves to an evenly spaced place among the
+    # edge lines; the rest trail.
+    moved = isolated[::2]
+    moved_set = set(moved)
+    kept = [line for i, line in enumerate(lines) if i not in moved_set]
+    step = isolated[0] // len(moved)
+    for j, i in enumerate(moved):
+        kept.insert(j * (step + 1), lines[i])
+    text = header + "\n" + "".join(kept)
+    expected = _outcome(lambda: per_line_reference(text, "edge_list"))
+    assert _outcome(lambda: parse_graph(text)) == expected
+    assert len(expected[0]) == 20000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 0\n#0\n",  # a comment that would pass for a label
+        "2 1\na b#c\n",
+        "3 1\na b\nc\n",
+        "3 1\nc\na b\n",  # an isolated vertex before an edge
+        "2 1\na b",  # no final newline
+        "2 0\na \nb",  # no final newline, and its whitespace is that of 'a b\n'
+        "3 1\na b\n c\n",  # as many whitespace characters as 'a b\nc d\n'
+        "2 1\na b\n\n",
+        "2 1\n a b\n",
+        "2 1\na  b\n",
+        "2 1\na b \n",
+        "2 1\na\x1cb\n",
+        "2 1\na\u3000b\n",
+        "3 1\na b\u2028c\n",
+        "3 1\nb a\n\u00e9\n",  # a non-ASCII label
+        "2 1\na a\n",
+        "1 1\na b\n",
+    ],
+)
+def test_second_block_matches_per_line_reference(text):
+    # After the header line, the rest of a short text is one block.
+    expected = _outcome(lambda: per_line_reference(text, "edge_list"))
+    assert _outcome(lambda: parse_graph(text)) == expected
+
+
+def assert_canonical_layout(g, text):
+    """text is the header, one line 'a b' per edge in g.edges() order, then
+    one line per isolated vertex, each line ending in a newline."""
+    lines = text.split("\n")
+    assert lines.pop() == ""
+    assert lines[0] == f"{g.n} {g.m}"
+    edge_lines, isolated = lines[1 : g.m + 1], lines[g.m + 1 :]
+    assert [line.split(" ") for line in edge_lines] == [[g.labels[u], g.labels[v]] for u, v in g.edges()]
+    assert isolated == [g.labels[v] for v in range(g.n) if not g.adj[v]]
+
+
+@settings(max_examples=200)
+@given(graphs())
+def test_writer_emits_the_canonical_layout(g):
+    assert_canonical_layout(g, to_edge_list(g))
+
+
+def test_writer_emits_the_canonical_layout_at_scale():
+    assert_canonical_layout(sparse_graph(20000, 2, 3), _multi_block_text())
 
 
 class TestParseEdgeList:
