@@ -15,17 +15,18 @@ characterizes every critical set at once:
     "u in X forces the matched partner of each mirrored neighbor into X".
 
 The family of critical sets is therefore a lattice of closed sets, and
-membership questions (does some critical independent set contain J?) reduce
-to a closure plus a disjointness test against N(J). One Tarjan walk over the
-free vertices, mapping the matching over the adjacency as it goes, builds
-each closure once per strongly connected component, as a bitset, folding the
-closures it reaches into it on the way; no successor lists are stored. One
+membership questions (does some critical independent set contain J?) reduce to
+a closure plus a disjointness test against N(J). Every closure is a union of
+whole strongly connected components, so one Tarjan walk over the free
+vertices, mapping the matching over the adjacency as it goes, numbers them and
+builds each closure once per component, as a bitset of component ids, folding
+the closures it reaches into it on the way; no successor lists are stored. One
 scan of the free vertices then yields both the greedy maximum critical
-independent set and the diadem, with O(n + m) bitset tests of "N(v) misses
-some closure bits"; the theorems that make that test enough are proved where
-they are used. Single queries keep a plain closure walk over stored
-successor lists that relies on none of them: the scan's judge in the test
-suite beyond the exhaustive oracle's bound. bipartite_double,
+independent set and the diadem, with O(n + m) bitset tests of "N(v) misses the
+components of some closure"; the theorems that make that test enough are
+proved where they are used. Single queries keep a plain closure walk over
+stored successor lists that relies on none of them: the scan's judge in the
+test suite beyond the exhaustive oracle's bound. bipartite_double,
 forced_difference and the Konig cover in matching.py stay public as
 independent cross-checks; no production answer goes through them.
 """
@@ -173,9 +174,10 @@ class _CriticalStructure:
 
     @cached_property
     def _closures(self) -> tuple[list[int], list[int]]:
-        """(bit, closure) per vertex. A free vertex, in some critical set but
-        not in X_min, has a bit and its succ-closure minus X_min as a bitset;
-        the rest have bit -1 and closure 0.
+        """(comp, closures). A free vertex, in some critical set but not in
+        X_min, has its strongly connected component's id 1 .. k as comp; the
+        rest have 0. closures[c] holds bit c and the bit of every component c
+        reaches over succ, minus X_min; closures[0] = 0, so bit 0 is never set.
 
         The blocked vertices, in no critical set, are exactly N(X_min). In the
         Dulmage-Mendelsohn split of B(G), X_min is D_L, so by the automorphism
@@ -183,78 +185,76 @@ class _CriticalStructure:
         every forbidden vertex, each A_L vertex reaches one along an
         alternating path, and succ from C_L stays in C_L + D_L.
 
-        So an iterative Tarjan condenses succ outside X_min + N(X_min),
-        popping components sinks first, each with its own run of bits,
-        0 .. free - 1. A frame maps right_match over adj[x] itself: x is free,
-        so outside N(X_min), which holds every forbidden vertex, and no
-        partner is -1. The closure ORs ride along. An arc to a done vertex,
-        whose component has popped, ORs its closure into acc[u]. A non-root
-        u folds acc[u] into its DFS parent when it finishes: every vertex on
-        the tree path from a component's root to u lies in u's component, so
-        the parent does too, and the root gathers what its component reaches.
-        An arc to a vertex still on the stack stays inside u's component, as
-        that vertex's root is an ancestor of u. The root then sets the
-        closure to acc | its component's bits and folds it into its own
+        So an iterative Tarjan, with Pearce's merged index and low-link (Inf.
+        Process. Lett. 116, 2016), condenses succ outside X_min + N(X_min),
+        numbering components in pop order, sinks first. A frame maps
+        right_match over adj[x] itself: x is free, so outside N(X_min), which
+        holds every forbidden vertex, and no partner is -1. The closure ORs
+        ride along. An arc to a done vertex ORs its component's closure into
+        acc[u]. A non-root u folds acc[u] into its DFS parent when it
+        finishes: every vertex on the tree path from a component's root to u
+        lies in u's component, so the parent does too, and the root gathers
+        what its component reaches. An arc to a vertex still on the stack
+        stays inside u's component, as that vertex's root is an ancestor of u.
+        The root's closure is acc | its component's bit, folded into its own
         parent. Each fold clears the acc it read, so only the frames on the
-        DFS path hold one. Memory is at most (free vertices)^2 / 8 bytes.
+        DFS path hold one. Memory is at most (components)^2 / 8 bytes.
         """
         n = self.n
         adj = self.adj
         partner = self.right_match.__getitem__
-        # index[u] is -1 until u is visited, and n once u is done (X_min,
-        # N(X_min) or a popped component), so such u never lowers a low-link.
-        index = [n if x else -1 for x in self.in_xmin]
+        # low[u]: -1 until u is visited, then its DFS number, lowered; n once
+        # u is done (X_min, N(X_min), popped), so it never lowers a low-link.
+        low = [n if x else -1 for x in self.in_xmin]
         for u in self.x_min:
             for w in adj[u]:
-                index[w] = n
-        low = [0] * n
-        bit = [-1] * n
-        closure = [0] * n
+                low[w] = n
+        comp = [0] * n
         acc = [0] * n
-        counter = nbits = 0
+        closures = [0]
+        counter = 0
         stack: list[int] = []
         for root in range(n):
-            if index[root] != -1:
+            if low[root] != -1:
                 continue
-            index[root] = low[root] = counter
-            counter += 1
+            low[root] = counter
             stack.append(root)
-            work = [(root, map(partner, adj[root]), 0)]
+            work = [(root, map(partner, adj[root]), 0, counter)]
+            counter += 1
             while work:
-                u, it, height = work[-1]
+                u, it, height, num = work[-1]
                 for x in it:
-                    i = index[x]
+                    i = low[x]
                     if i == -1:
-                        index[x] = low[x] = counter
+                        low[x] = counter
+                        work.append((x, map(partner, adj[x]), len(stack), counter))
                         counter += 1
-                        work.append((x, map(partner, adj[x]), len(stack)))
                         stack.append(x)
                         break
                     if i == n:
-                        acc[u] |= closure[x]
+                        acc[u] |= closures[comp[x]]
                     elif i < low[u]:
                         low[u] = i
                 else:
                     work.pop()
-                    if low[u] != index[u]:
+                    if low[u] != num:
                         parent = work[-1][0]
                         if low[u] < low[parent]:
                             low[parent] = low[u]
                         acc[parent] |= acc[u]
                         acc[u] = 0
                         continue
-                    members = stack[height:]
-                    del stack[height:]
-                    cl = acc[u] | ((1 << len(members)) - 1) << nbits
+                    c = len(closures)
+                    cl = acc[u] | 1 << c
                     acc[u] = 0
-                    for y in members:
-                        index[y] = n
-                        bit[y] = nbits
-                        nbits += 1
-                        closure[y] = cl
+                    closures.append(cl)
+                    for y in stack[height:]:
+                        low[y] = n
+                        comp[y] = c
+                    del stack[height:]
                     if work:
                         acc[work[-1][0]] |= cl
-        return bit, closure
+        return comp, closures
 
     @cached_property
     def _scans(self) -> tuple[frozenset[int], frozenset[int]]:
@@ -272,25 +272,25 @@ class _CriticalStructure:
         always passes and adds no bits (X_min is independent and its
         neighbours are blocked); an N(X_min) vertex always fails. A free v
         has no neighbour in X_min, by definition, so its test is the bit test
-        alone. The greedy tests only diadem members, and only against Cl(I):
-        if N(v) met Cl(v), it would meet Cl(I) + Cl(v) too.
+        alone: every closure is a union of whole components, so w lies in it
+        iff the bit comp[w] is set, and a blocked w, comp 0, never is. The
+        greedy tests only diadem members, and only against Cl(I): if N(v) met
+        Cl(v), it would meet Cl(I) + Cl(v) too.
         """
-        bit, closure = self._closures
+        comp, closures = self._closures
         adj = self.adj
-        x_bits = 0  # the free part of X_min + Cl(I)
+        x_bits = 0  # the components of the free part of X_min + Cl(I)
         chosen: list[int] = []
         dia: list[int] = []
-        for v in compress(range(self.n), map((-1).__lt__, bit)):  # bit[v] >= 0
-            cv = closure[v]
+        for v in compress(range(self.n), comp):
+            cv = closures[comp[v]]
             for w in adj[v]:
-                b = bit[w]
-                if b >= 0 and cv >> b & 1:
+                if cv >> comp[w] & 1:
                     break
             else:
                 dia.append(v)
                 for w in adj[v]:
-                    b = bit[w]
-                    if b >= 0 and x_bits >> b & 1:
+                    if x_bits >> comp[w] & 1:
                         break
                 else:
                     x_bits |= cv

@@ -31,6 +31,7 @@ from critind import (
     max_matching_bipartite,
     max_matching_general,
     min_vertex_cover_bipartite,
+    mu_exact,
     neighborhood,
 )
 from critind import critical
@@ -71,30 +72,41 @@ def blocked_reference(g):
 
 
 def assert_closures_mark_blocked(g):
-    """Every blocked vertex has closure 0 and bit -1, and the bits handed out
-    are 0 .. (free vertices - 1), one per free vertex."""
+    """Every blocked and X_min vertex has comp 0, the free vertices use
+    exactly the component ids 1 .. k, closures[0] is 0, and the classes of
+    comp on the free vertices are the strongly connected components of succ
+    restricted to them."""
+    nx = pytest.importorskip("networkx")
     s = critical._structure(g)
-    bit, closure = s._closures
+    comp, closures = s._closures
     blocked = blocked_reference(g)
-    assert all(closure[u] == 0 and bit[u] == -1 for u in range(g.n) if blocked[u])
+    assert all(comp[u] == 0 for u in range(g.n) if blocked[u] or s.in_xmin[u])
     # Dulmage-Mendelsohn on B(G): the blocked vertices are exactly N(X_min).
     assert blocked == [not s.x_min.isdisjoint(g.adj[u]) for u in range(g.n)]
     free = [u for u in range(g.n) if not blocked[u] and not s.in_xmin[u]]
-    assert sorted(bit[u] for u in free) == list(range(len(free)))
-    assert sum(b >= 0 for b in bit) == len(free)
+    assert {comp[u] for u in free} == set(range(1, len(closures)))
+    assert closures[0] == 0
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(free)
+    digraph.add_edges_from((u, x) for u in free for x in s.succ[u] if comp[x])
+    classes = {}
+    for u in free:
+        classes.setdefault(comp[u], set()).add(u)
+    assert sorted(map(sorted, classes.values())) == sorted(
+        map(sorted, nx.strongly_connected_components(digraph)))
 
 
 def reach_reference(g):
     """reach[v]: the free vertices v reaches over succ minus X_min, as a
-    bitset in the closure walk's own bit numbering. Least-fixpoint iteration
-    of R(v) = {v} + the R(x) of v's free successors, from below, shares
-    nothing with the Tarjan walk and its folds; a DFS per vertex would take
-    seconds on the larger graphs here."""
+    bitset of their component ids. Least-fixpoint iteration of R(v) =
+    {comp v} + the R(x) of v's free successors, from below, shares nothing
+    with the Tarjan walk and its folds; a DFS per vertex would take seconds
+    on the larger graphs here."""
     s = critical._structure(g)
-    bit = s._closures[0]
-    free = [v for v in range(g.n) if bit[v] >= 0]
+    comp = s._closures[0]
+    free = [v for v in range(g.n) if comp[v]]
     outs = {v: [x for x in s.succ[v] if not s.in_xmin[x]] for v in free}
-    reach = {v: 1 << bit[v] for v in free}
+    reach = {v: 1 << comp[v] for v in free}
     changed = True
     while changed:
         changed = False
@@ -110,28 +122,29 @@ def reach_reference(g):
 
 def assert_closures_are_reachability(g):
     assert_closures_mark_blocked(g)
-    closure = critical._structure(g)._closures[1]
+    comp, closures = critical._structure(g)._closures
     for v, r in reach_reference(g).items():
-        assert closure[v] == r, v
+        assert closures[comp[v]] == r, v
 
 
 def scans_reference(g):
     """(I, diadem) by the scans' definition over all n vertices: v passes
-    when no neighbour lies in X_min or has its bit in the tested bits."""
+    when no neighbour lies in X_min or has its component's bit in the tested
+    bits."""
     s = critical._structure(g)
-    bit, closure = s._closures
+    comp, closures = s._closures
 
     def nbrs_miss(v, bits):
-        return not any(s.in_xmin[w] or bit[w] >= 0 and bits >> bit[w] & 1 for w in g.adj[v])
+        return not any(s.in_xmin[w] or comp[w] and bits >> comp[w] & 1 for w in g.adj[v])
 
     x_bits = 0
     chosen = []
     for v in range(g.n):
-        reach = x_bits | closure[v]
+        reach = x_bits | closures[comp[v]]
         if nbrs_miss(v, reach):
             x_bits = reach
             chosen.append(v)
-    return frozenset(chosen), frozenset(v for v in range(g.n) if nbrs_miss(v, closure[v]))
+    return frozenset(chosen), frozenset(v for v in range(g.n) if nbrs_miss(v, closures[comp[v]]))
 
 
 def networkx_d(g):
@@ -423,7 +436,10 @@ def test_analyze_builds_no_succ_beyond_oracle_bound():
 
 def test_closure_walk_peak_memory():
     # Each fold clears the acc it read, so only the frames on the DFS path
-    # hold one. Keeping them all once doubled the peak.
+    # hold one. Beside comp and closures, the walk's scratch is low and acc
+    # (8 bytes a slot, plus 28 per DFS number past the small-int cache), the
+    # stack and the frames: 0.90 MB here over 0.85 MB held. A walk that kept
+    # every acc took 1.26 MB of scratch.
     g = sparse_graph(12000, 4, seed=5)
     s = critical._CriticalStructure(g)
     tracemalloc.start()
@@ -432,7 +448,7 @@ def test_closure_walk_peak_memory():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * held
+    assert peak - held <= 90 * g.n
 
 
 @pytest.mark.parametrize(
@@ -498,6 +514,46 @@ def test_warm_start_matches_cold_matchings_beyond_oracle_bound(n, c):
     assert critical_difference(g) == n - sum(j != -1 for j in cold_left)
     assert mu == max_matching_general(g).size
     assert n - critical_difference(g) >= 2 * mu
+
+
+def odd_cycles_with_tails(length, copies, tail):
+    """`copies` disjoint cycles of odd `length`, each with a path of `tail`
+    vertices hung on cycle vertex 0. The path's far end has degree 1, so the
+    Karp-Sipser peel runs before any blossom search."""
+    size = length + tail
+    labels, edges = [], []
+    for k in range(copies):
+        base = k * size
+        labels += [f"c{k}_{i}" for i in range(size)]
+        edges += [(base + i, base + (i + 1) % length) for i in range(length)]
+        path = [base] + list(range(base + length, base + size))
+        edges += list(zip(path, path[1:]))
+    return Graph(labels, edges)
+
+
+@pytest.mark.parametrize(("length", "copies"), [(3, 2), (5, 2), (3, 20), (5, 20)])
+def test_mu_below_fractional_bound_with_tails(length, copies):
+    # B(G) matches every copy perfectly, so d = 0, but each odd cycle leaves
+    # a vertex of its copy unmatched in G: mu < floor((n - d) / 2), and a
+    # search budget taken from that bound must not stop early. A tail of one
+    # vertex makes each copy even and the bound tight again.
+    nx = pytest.importorskip("networkx")
+
+    def reference_mu(g):
+        if g.n <= 20:
+            return mu_exact(g)
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges())
+        return len(nx.max_weight_matching(ng, maxcardinality=True))
+
+    g = odd_cycles_with_tails(length, copies, 2)
+    d, mu = critical_difference(g), critical.matching_number(g)
+    assert d == 0 and mu == copies * (length + 1) // 2 == reference_mu(g)
+    assert mu < (g.n - d) // 2
+    tight = odd_cycles_with_tails(length, copies, 1)
+    mu = critical.matching_number(tight)
+    assert mu == (tight.n - critical_difference(tight)) // 2 == reference_mu(tight)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
