@@ -470,8 +470,12 @@ def analyze(
 
     Beyond the oracle bound only the polynomial fields are filled and the
     oracle-backed ones are marked skipped, unless require_oracle is set, in
-    which case the refusal propagates as OracleBoundError.
+    which case analyze raises OracleBoundError before doing any work.
     """
+    use_oracle = g.n <= oracle_bound
+    if require_oracle and not use_oracle:
+        raise oracle.OracleBoundError(g.n, oracle_bound, "analyze")
+
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     decomp = critical.decompose(g)
@@ -479,10 +483,6 @@ def analyze(
     diadem_fast = critical.diadem(g)
     mu = critical.matching_number(g)
     timings["polynomial"] = time.perf_counter() - t0
-
-    use_oracle = g.n <= oracle_bound
-    if require_oracle and not use_oracle:
-        raise oracle.OracleBoundError(g.n, oracle_bound, "analyze")
 
     report = AnalysisReport(
         graph=g,

@@ -454,13 +454,10 @@ def _check_probability(p: float) -> float:
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p); identical (n, p, seed) gives identical graphs."""
+    """Erdos-Renyi G(n, p), the one-part disjoint_union; same (n, p, seed), same graph."""
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
-    _check_probability(p)
-    rng = random.Random(seed)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph([f"v{i}" for i in range(n)], edges)
+    return disjoint_union((n,), p, seed)
 
 
 def bipartite_gnp(n_left: int, n_right: int, p: float, seed: int) -> Graph:

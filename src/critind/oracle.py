@@ -27,7 +27,7 @@ __all__ = [
 
 DEFAULT_ORACLE_BOUND = 20
 
-# Exhaustive 2^n subset scans get a tighter default than the branch-and-bound
+# Exhaustive 2^n subset scans get a tighter bound than the branch-and-bound
 # enumerations; they exist to cross-check the reduction identity on small graphs.
 # Each scan costs one OR per mask and keeps a table of up to 2^n entries: a few
 # MB at 16, doubling with every vertex above it.
@@ -97,30 +97,31 @@ def independence_profile(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> Indepen
 
     Branch and bound over a max-degree pivot; a vertex with no undecided
     neighbor is forced in, which every maximum independent set must contain.
+    One walk forces these in and picks the pivot (lowest index on ties), since
+    forcing such a vertex changes no other degree among the undecided ones.
     """
     _require(g, bound, "independence_profile")
     adj = adjacency_masks(g)
-    n = g.n
 
     best = -1
     found: list[int] = []
 
     def rec(avail: int, cur: int, size: int) -> None:
         nonlocal best, found
-        # Force in vertices isolated within avail; they never hurt a maximum set.
-        forced = True
-        while forced and avail:
-            forced = False
-            a = avail
-            while a:
-                b = a & -a
-                v = b.bit_length() - 1
-                a ^= b
-                if not (adj[v] & avail):
-                    cur |= b
-                    size += 1
-                    avail ^= b
-                    forced = True
+        pivot = -1
+        pivot_deg = 0
+        a = avail
+        while a:
+            b = a & -a
+            v = b.bit_length() - 1
+            a ^= b
+            deg = (adj[v] & avail).bit_count()
+            if not deg:
+                cur |= b
+                size += 1
+                avail ^= b
+            elif deg > pivot_deg:
+                pivot, pivot_deg = v, deg
         if not avail:
             if size > best:
                 best = size
@@ -130,22 +131,11 @@ def independence_profile(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> Indepen
             return
         if size + avail.bit_count() < best:
             return
-        # Pivot on the max-degree vertex within avail.
-        pivot = -1
-        pivot_deg = -1
-        a = avail
-        while a:
-            b = a & -a
-            v = b.bit_length() - 1
-            a ^= b
-            deg = (adj[v] & avail).bit_count()
-            if deg > pivot_deg:
-                pivot, pivot_deg = v, deg
         pb = 1 << pivot
         rec(avail & ~(adj[pivot] | pb), cur | pb, size + 1)
         rec(avail & ~pb, cur, size)
 
-    rec((1 << n) - 1, 0, 0)
+    rec((1 << g.n) - 1, 0, 0)
 
     family = _sorted_family(found)
     core = frozenset.intersection(*family) if family else frozenset()
@@ -153,8 +143,10 @@ def independence_profile(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> Indepen
     return IndependenceProfile(best, family, core, corona)
 
 
-def _max_independent_difference(adj: tuple[int, ...], n: int) -> int:
-    """Max of d(S) over independent S, by branch and bound."""
+def max_independent_difference(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> int:
+    """Max of d(S) over independent S; its own search cross-checks critical_family."""
+    _require(g, bound, "max_independent_difference")
+    adj = adjacency_masks(g)
     best = 0  # d(empty set) = 0
 
     def rec(avail: int, cur_nbrs: int, size: int) -> None:
@@ -172,18 +164,15 @@ def _max_independent_difference(adj: tuple[int, ...], n: int) -> int:
         rec(avail & ~(adj[v] | b), cur_nbrs | adj[v], size + 1)
         rec(avail & ~b, cur_nbrs, size)
 
-    rec((1 << n) - 1, 0, 0)
+    rec((1 << g.n) - 1, 0, 0)
     return best
-
-
-def max_independent_difference(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> int:
-    """Max of d(S) over independent S, by branch and bound."""
-    _require(g, bound, "max_independent_difference")
-    return _max_independent_difference(adjacency_masks(g), g.n)
 
 
 def critical_family(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> CriticalFamily:
     """Enumerate every independent S with d(S) = d(G), plus ker/nucleus/diadem.
+
+    The same search finds d(G): a running best prunes branches that cannot
+    reach it and restarts the hits when it rises.
 
     ker intersects ALL critical independent sets (the empty set is one exactly
     when d(G) = 0, which then forces ker to be empty). nucleus and diadem
@@ -191,25 +180,29 @@ def critical_family(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> CriticalFami
     """
     _require(g, bound, "critical_family")
     adj = adjacency_masks(g)
-    n = g.n
-    d_target = _max_independent_difference(adj, n)
 
+    best = 0  # d(empty set) = 0
     hits: list[int] = []
 
     def rec(avail: int, cur: int, cur_nbrs: int, size: int) -> None:
+        nonlocal best, hits
         # Record at leaves only: each independent set reaches exactly one leaf.
         if not avail:
-            if size - cur_nbrs.bit_count() == d_target:
+            d_now = size - cur_nbrs.bit_count()
+            if d_now > best:
+                best = d_now
+                hits = [cur]
+            elif d_now == best:
                 hits.append(cur)
             return
-        if size + avail.bit_count() - cur_nbrs.bit_count() < d_target:
+        if size + avail.bit_count() - cur_nbrs.bit_count() < best:
             return
         b = avail & -avail
         v = b.bit_length() - 1
         rec(avail & ~(adj[v] | b), cur | b, cur_nbrs | adj[v], size + 1)
         rec(avail & ~b, cur, cur_nbrs, size)
 
-    rec((1 << n) - 1, 0, 0, 0)
+    rec((1 << g.n) - 1, 0, 0, 0)
 
     family = _sorted_family(hits)
     max_size = max((len(s) for s in family), default=0)
@@ -217,11 +210,12 @@ def critical_family(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> CriticalFami
     ker = frozenset.intersection(*family) if family else frozenset()
     nucleus = frozenset.intersection(*maximum) if maximum else frozenset()
     diadem = frozenset.union(*maximum) if maximum else frozenset()
-    return CriticalFamily(d_target, family, maximum, ker, nucleus, diadem)
+    return CriticalFamily(best, family, maximum, ker, nucleus, diadem)
 
 
 def mu_exact(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> int:
-    """Exact maximum-matching size by edge include/exclude with memoization."""
+    """Exact maximum-matching size, memoized on the active vertices: the lowest
+    one with a neighbor is left unmatched or matched to each neighbor in turn."""
     _require(g, bound, "mu_exact")
     adj = adjacency_masks(g)
     memo: dict[int, int] = {}
@@ -257,24 +251,19 @@ def mu_exact(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> int:
     return rec((1 << g.n) - 1)
 
 
-def max_difference_exhaustive(
-    g: Graph,
-    independent_only: bool = False,
-    bound: int = DEFAULT_SUBSET_SCAN_BOUND,
-) -> int:
+def max_difference_exhaustive(g: Graph, independent_only: bool = False) -> int:
     """Max of d(X) over all 2^n subsets (or only the independent ones).
 
     A plain exhaustive scan, kept deliberately independent from the
     branch-and-bound paths so the two can cross-check each other. N(X) is
     tabulated by doubling: once vertices 0..v-1 are in, the table for the
     masks with bit v set is the old table with adj[v] OR-ed in, so each mask
-    costs one OR. The table holds up to 2^n entries, a few MB at the default
-    bound of 16; a caller who raises `bound` accepts memory that grows as 2^n.
+    costs one OR. The table holds up to 2^n entries, a few MB at n = 16.
     With `independent_only` the table keeps (mask, N(mask)) pairs for the
     independent masks alone: a mask below 1 << v stays independent with v
     added exactly when it misses adj[v].
     """
-    _require(g, bound, "max_difference_exhaustive")
+    _require(g, DEFAULT_SUBSET_SCAN_BOUND, "max_difference_exhaustive")
     adj = adjacency_masks(g)
     if not independent_only:
         nbrs = [0]

@@ -20,7 +20,7 @@ from critind import (
 )
 from critind import analysis, critical, matching
 from critind.cli import corpus_specs
-from strategies import graphs, permuted
+from strategies import graphs, permuted, sparse_graph
 
 EXPECTED_CHECK_IDS = [
     "B", "C", "K", "L1", "L2", "L4", "L4-matching",
@@ -145,6 +145,12 @@ class TestAnalyze:
     def test_require_oracle_raises(self, gf):
         with pytest.raises(OracleBoundError):
             analyze(gf, oracle_bound=5, require_oracle=True)
+
+    def test_require_oracle_refuses_before_any_work(self):
+        g = sparse_graph(5000, 4, seed=3)
+        with pytest.raises(OracleBoundError):
+            analyze(g, require_oracle=True)
+        assert g not in critical._structures
 
     def test_json_shape_full(self, g1):
         doc = analyze(g1).to_json_dict()

@@ -695,6 +695,23 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gnp(-1, 0.5, seed=1)
 
+    @pytest.mark.parametrize(
+        "n, p, seed", [(0, 0.5, 1), (1, 0.5, 2), (9, 0.3, 7), (12, 0.8, 2**62 + 5)]
+    )
+    def test_gnp_is_one_part_disjoint_union(self, n, p, seed):
+        # The verify corpus draws its G(n, p) graphs here: pin the stream to
+        # one rng.random() per pair i < j, in row order.
+        rng = random.Random(seed)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        reference = Graph([f"v{i}" for i in range(n)], edges)
+        g, u = gnp(n, p, seed), disjoint_union((n,), p, seed)
+        assert g.labels == u.labels == reference.labels
+        assert g.adj == u.adj == reference.adj
+
+    def test_gnp_negative_vertex_count_message(self):
+        with pytest.raises(ValueError, match="vertex count must be non-negative, got -3"):
+            gnp(-3, 0.5, seed=1)
+
     def test_bipartite_complete(self):
         g = bipartite_gnp(3, 3, 1.0, seed=1)
         assert g.n == 6 and g.m == 9

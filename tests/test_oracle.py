@@ -136,6 +136,56 @@ def per_mask_reference(g, independent_only):
     return best
 
 
+def family_reference(g):
+    """Omega(G) and the critical family by a per-mask loop over all 2^n masks,
+    each ordered by (len, sorted) as the oracle orders them."""
+    adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
+    independent = []
+    for mask in range(1 << g.n):
+        nbrs = 0
+        for v in range(g.n):
+            if mask >> v & 1:
+                nbrs |= adj[v]
+        if not nbrs & mask:
+            members = frozenset(v for v in range(g.n) if mask >> v & 1)
+            independent.append((members, len(members) - nbrs.bit_count()))
+
+    def ordered(sets):
+        return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
+
+    alpha = max(len(s) for s, _ in independent)
+    d = max(d_s for _, d_s in independent)
+    omega = ordered(s for s, _ in independent if len(s) == alpha)
+    critical = ordered(s for s, d_s in independent if d_s == d)
+    top = max(len(s) for s in critical)
+    return omega, d, critical, tuple(s for s in critical if len(s) == top)
+
+
+def assert_families_complete(g):
+    omega, d, critical, maximum = family_reference(g)
+    fam = critical_family(g)
+    assert independence_profile(g).omega_family == omega
+    assert fam.all_critical_independent == critical
+    assert fam.maximum_critical_independent == maximum
+    # Three separate computations of d(G).
+    assert fam.d == max_independent_difference(g) == max_difference_exhaustive(g, True) == d
+
+
+@settings(max_examples=60)
+@given(graphs(max_n=12))
+def test_families_match_per_mask_reference(g):
+    assert_families_complete(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gnp(16, 0.1, 5), gnp(16, 0.2, 7), gnp(16, 0.6, 3), gnp(16, 0.9, 1)],
+    ids=["p0.1", "p0.2", "p0.6", "p0.9"],
+)
+def test_families_match_per_mask_reference_at_16(g):
+    assert_families_complete(g)
+
+
 class TestSubsetScans:
     def test_matches_branch_and_bound(self):
         for seed in range(20):
