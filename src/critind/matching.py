@@ -13,18 +13,21 @@ of a Karp-Sipser seed. The seed matches a vertex with one unmatched
 neighbour to that neighbour, which never loses optimality, and otherwise
 takes the greedy pick; it keeps degrees only when the graph has a degree-1
 vertex at all. The searches, one BFS alternating tree per root, start only
-from the core the peel left before its first greedy pick, and stop once
-they have won back as many edges as the greedy picks can have cost; with no
-greedy pick there is no search, and no Hopcroft-Karp root either. On sparse
-random graphs the peel settles almost everything (Karp & Sipser, FOCS 1981;
-Aronson, Frieze & Pittel, Random Struct. Algorithms 12, 1998). Blossom bases
-live in a union-find (Gabow, J. ACM 23, 1976), the scratch arrays are
-allocated once per call and reset only where a search touched them, and the
-lowest common base is found by stamping, so one search works only on the
-vertices of its tree and never on all n. A contraction walks its two paths
-under the bases as they were and merges them after both walks. Returned
-matchings are deterministic (vertices are scanned in index order) but not
-canonical; consumers should rely only on size and saturation structure.
+from the core the peel left before its first greedy pick. They stop once
+they have won back as many edges as the greedy picks can have cost, or once
+fewer than two unmatched core vertices are waiting for a search: an
+augmenting path would join two of them, as a vertex whose search failed
+never ends one (Edmonds). With no greedy pick there is no search, and no
+Hopcroft-Karp root either. On sparse random graphs the peel settles almost
+everything (Karp & Sipser, FOCS 1981; Aronson, Frieze & Pittel, Random
+Struct. Algorithms 12, 1998). Blossom bases live in a union-find (Gabow,
+J. ACM 23, 1976), the scratch arrays are allocated once per call and reset
+only where a search touched them, and the lowest common base is found by
+stamping, so one search works only on the vertices of its tree and never on
+all n. A contraction walks its two paths under the bases as they were and
+merges them after both walks. Returned matchings are deterministic
+(vertices are scanned in index order) but not canonical; consumers should
+rely only on size and saturation structure.
 """
 
 from __future__ import annotations
@@ -244,14 +247,15 @@ def min_vertex_cover_bipartite(g: Graph, parts: BipartitePartition, m: Matching)
 # General graphs: blossom contraction
 
 
-def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int], bool]:
+def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int], int]:
     """The blossom search over one graph and one mutable mate array.
 
     The returned function grows a BFS alternating tree from an unmatched
     root, contracting blossoms as it meets them. If it reaches an unmatched
-    vertex it flips the augmenting path into `match` and returns True. Its
-    scratch arrays are allocated here once; each search resets only the
-    vertices its tree touched, so it does no O(n) work.
+    vertex it flips the augmenting path into `match` and returns that
+    vertex, the path's other end; otherwise it returns -1 and leaves `match`
+    as it was. Its scratch arrays are allocated here once; each search
+    resets only the vertices its tree touched, so it does no O(n) work.
     """
     n = len(adj)
     parent = [-1] * n
@@ -296,7 +300,7 @@ def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int]
             child = x
             v = parent[x]
 
-    def augment(root: int) -> bool:
+    def augment(root: int) -> int:
         used[root] = True
         queue = [root]
         odd: list[int] = []
@@ -337,7 +341,7 @@ def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int]
             uf[v] = v
         for v in odd:
             parent[v] = -1
-        return end != -1
+        return end
 
     return augment
 
@@ -432,33 +436,50 @@ def blossom(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     critical._CriticalStructure).
 
     A Karp-Sipser seed first (_seed). Then, if it made any greedy pick, one
-    blossom search over the full adjacency per vertex of C still unmatched
-    when its turn comes, stopping once there have been as many successes as
-    picks; with no pick, no search at all.
+    blossom search over the full adjacency from each vertex of C that the
+    seed left unmatched and that is still unmatched when its turn comes.
+    The searches stop once there have been as many successes as picks, or
+    once fewer than two vertices are waiting: unmatched vertices of C not
+    yet searched from. With no pick there is no search at all.
 
     Why that is maximum. Let P be the peels before the first greedy pick
     (all of them if there is none), U the vertices they leave unmatched, C
     as in _seed and Z = U - C, the vertices of U with no neighbour in U.
-    Peels keep optimality, so mu(G) = |P| + mu(G[U]) = |P| + mu(G[C]). Let
-    Z' be the vertices of Z still unmatched at the end; G - Z' keeps P and
-    G[C], so mu(G - Z') = mu(G). If the searches stop at `picks` successes
-    the matching has |seed| + picks >= mu edges and is maximum. Otherwise
-    every vertex of C unmatched at the end had a search, and it failed. A
-    failed search stays failed after later augmentations (Edmonds), and an
-    augmentation never unmatches a vertex, so no augmenting path starts at
-    a vertex of C. Every vertex of G - Z' that is unmatched lies in C, so
-    G - Z' has no augmenting path: the matching is maximum there, so of
-    size mu(G).
+    Peels keep optimality, so mu(G) = |P| + mu(G[U]) = |P| + mu(G[C]). If
+    the searches stop at `picks` successes the matching has |seed| + picks
+    >= mu edges and is maximum. Otherwise fewer than two are waiting. Let
+    Z_now be the vertices of Z unmatched right now.
+    - G - Z_now still holds P and G[C], so mu(G - Z_now) = mu(G).
+    - An augmentation never unmatches a vertex, so every unmatched vertex
+      of G - Z_now is in C.
+    - An augmenting path of G - Z_now joins two such vertices. Neither is
+      the root of a search that succeeded, which left it matched. Neither
+      is the root of a search that failed: a search that failed in G stays
+      failed after later augmentations (Edmonds, Canad. J. Math. 17, 1965),
+      and so finds no path in G - Z_now either. So both are waiting.
+    - With fewer than two waiting, G - Z_now has no augmenting path, so the
+      matching is maximum there, of size mu(G).
+    Z', in critical._CriticalStructure, is Z_now at the end.
+
+    So the one search skipped when a single vertex is waiting would fail,
+    and a failed search writes nothing to mate: (mate, roots) are those
+    that a search from every vertex still waiting would give.
     """
     match, core, picks = _seed(adj)
+    unmatched = [v for v in core if match[v] == -1]
     if picks:
         augment = _augmenter(adj, match)
-        for v in core:
-            if match[v] == -1 and augment(v):
-                picks -= 1
-                if not picks:
-                    break
-    return match, [v for v in core if match[v] == -1]
+        waiting = set(unmatched)
+        for v in unmatched:
+            if not picks or len(waiting) < 2:
+                break
+            if v in waiting:
+                waiting.remove(v)
+                end = augment(v)
+                if end != -1:
+                    waiting.discard(end)
+                    picks -= 1
+    return match, [v for v in unmatched if match[v] == -1]
 
 
 def max_matching_general(g: Graph) -> Matching:
@@ -474,4 +495,4 @@ def has_augmenting_path(g: Graph, m: Matching) -> bool:
         match[u] = v
         match[v] = u
     augment = _augmenter(g.adj, match)
-    return any(augment(v) for v in range(g.n) if match[v] == -1)
+    return any(augment(v) != -1 for v in range(g.n) if match[v] == -1)

@@ -36,6 +36,10 @@ def cycle(n):
     return Graph([f"c{i}" for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
 
 
+def clique(n):
+    return Graph([f"k{i}" for i in range(n)], [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
 def petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -515,6 +519,90 @@ class TestNoGreedyPick:
     @pytest.mark.parametrize(("n", "seed"), [(300, 0), (1000, 0), (3000, 0)])
     def test_sparse_seeds_without_a_pick(self, n, seed, monkeypatch):
         self.check(sparse_graph(n, 2, seed), monkeypatch)
+
+
+def blossom_searching_every_root(adj):
+    """The blossom loop without the waiting count: a search from every core
+    vertex still unmatched when its turn comes, stopping only after `picks`
+    successes."""
+    mate, core, picks = matching._seed(adj)
+    if picks:
+        augment = matching._augmenter(adj, mate)
+        for v in core:
+            if mate[v] == -1 and augment(v) != -1:
+                picks -= 1
+                if not picks:
+                    break
+    return mate, [v for v in core if mate[v] == -1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_pendants(max_n=12, max_pendants=12))
+def test_blossom_equals_searching_every_root(g):
+    # Stopping with one root waiting skips only a search that would fail,
+    # and a failed search writes nothing: the output is bit for bit the same.
+    assert matching.blossom(g.adj) == blossom_searching_every_root(g.adj)
+
+
+@pytest.mark.parametrize("c", [2, 4, 8])
+@pytest.mark.parametrize("n", [2500, 20000])
+def test_blossom_equals_searching_every_root_beyond_oracle_bound(n, c):
+    g = sparse_graph(n, c, seed=n + c)
+    assert matching.blossom(g.adj) == blossom_searching_every_root(g.adj)
+
+
+class TestWaitingRoots:
+    """The searches stop once fewer than two roots are waiting: unmatched
+    vertices of the seed's core not yet searched from."""
+
+    @staticmethod
+    def run(g, monkeypatch):
+        """mu from matching.blossom on g, the number of augmenters it built,
+        and per search its root, the roots waiting when it started (itself
+        included) and the end it matched, -1 when it failed."""
+        seed, core, _ = matching._seed(g.adj)
+        unmatched = [v for v in core if seed[v] == -1]
+        built, searches = [], []
+        augmenter = matching._augmenter
+
+        def counted(adj, match):
+            built.append(adj)
+            augment = augmenter(adj, match)
+
+            def logged(root):
+                searched = {r for r, _, _ in searches}
+                waiting = sum(match[v] == -1 and v not in searched for v in unmatched)
+                end = augment(root)
+                searches.append((root, waiting, end))
+                return end
+
+            return logged
+
+        monkeypatch.setattr(matching, "_augmenter", counted)
+        mate, _ = matching.blossom(g.adj)
+        return (g.n - mate.count(-1)) // 2, len(built), searches
+
+    @pytest.mark.parametrize("g", [cycle(3), cycle(5), clique(5)], ids=["k3", "c5", "k5"])
+    def test_one_root_left_starts_no_search(self, g, monkeypatch):
+        mu, built, searches = self.run(g, monkeypatch)
+        assert (built, searches) == (1, [])
+        assert mu == mu_exact(g)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_disjoint_triangles(self, k, monkeypatch):
+        g = disjoint_union_of([cycle(3)] * k)
+        mu, built, searches = self.run(g, monkeypatch)
+        assert built == 1
+        assert [(waiting, end) for _, waiting, end in searches] == [(w, -1) for w in range(k, 1, -1)]
+        assert mu == k == networkx_mu(g)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_search_starts_with_two_waiting(self, seed, monkeypatch):
+        g = sparse_graph(2500, 4, seed)
+        mu, built, searches = self.run(g, monkeypatch)
+        assert built == 1
+        assert all(waiting >= 2 for _, waiting, _ in searches)
+        assert mu == networkx_mu(g)
 
 
 @settings(max_examples=80)
