@@ -1,34 +1,25 @@
 """Polynomial-time critical-independence machinery.
 
-The critical difference d(G) = max |X| - |N(X)| is computed as n - mu(B(G))
-over the bipartite double B(G). One blossom per graph gives mu(G), and its
-matching, doubled (uv to u-v' and v-u'), is a matching of B(G) of size
-2 mu(G) <= n - d(G). It seeds one Hopcroft-Karp on the host adjacency, the
-mirror of v being right index v, so B(G) is never built and only the few
-augmentations left to n - d(G) are searched for, and only from the
-vertices that the Karp-Sipser peel behind the blossom has not settled. On
-top of that one maximum matching of B(G) we build a closure structure that
-characterizes every critical set at once:
+d(G) = n - mu(B(G)) over the bipartite double B(G), which is never built.
+Each proof sits at the function that relies on it:
 
-    X is critical  <=>  X contains all unmatched originals, avoids every
-    vertex with an unmatched mirrored neighbor, and is closed under
-    "u in X forces the matched partner of each mirrored neighbor into X".
+- _CriticalStructure: the blossom matching of G, doubled, seeds one
+  Hopcroft-Karp of B(G) started only from the blossom's roots, and why
+  that is maximum; the successor digraph, defined there once and never
+  stored, whose closed sets are the critical sets; X_min, the closure of
+  the unmatched originals.
+- find_critical_independent_set: X_min is independent and is ker(G).
+- _CriticalStructure._closures: the blocked vertices are N(X_min), and one
+  Tarjan walk builds each component's closure as a bitset of components.
+- _CriticalStructure._scans: one scan of the free vertices yields I and
+  the diadem, and why its bit tests are enough.
+- max_critical_independent_set: why the greedy is exact.
+- _CriticalStructure.extends: a plain closure walk that relies on none of
+  these, the scans' judge in the tests beyond the exhaustive oracle's bound.
 
-The family of critical sets is therefore a lattice of closed sets, and
-membership questions (does some critical independent set contain J?) reduce to
-a closure plus a disjointness test against N(J). Every closure is a union of
-whole strongly connected components, so one Tarjan walk over the free
-vertices, mapping the matching over the adjacency as it goes, numbers them and
-builds each closure once per component, as a bitset of component ids, folding
-the closures it reaches into it on the way; no successor lists are stored. One
-scan of the free vertices then yields both the greedy maximum critical
-independent set and the diadem, with O(n + m) bitset tests of "N(v) misses the
-components of some closure"; the theorems that make that test enough are
-proved where they are used. Single queries keep a plain closure walk over
-stored successor lists that relies on none of them: the scan's judge in the
-test suite beyond the exhaustive oracle's bound. bipartite_double,
-forced_difference and the Konig cover in matching.py stay public as
-independent cross-checks; no production answer goes through them.
+bipartite_double and forced_difference, with the Konig cover in
+matching.py, are independent cross-checks; no production answer goes
+through them.
 """
 
 from __future__ import annotations
@@ -107,11 +98,15 @@ class _CriticalStructure:
     """mu(G), a maximum matching of B(G) and the closure structure over
     original vertices.
 
-    succ[u] lists the matched partners of u's mirrored neighbors; a critical
-    set is exactly a succ-closed set that contains every unmatched original
-    and no forbidden vertex, one with an unmatched mirrored neighbor. Only
-    right_match is kept: the walks map it over adj as they go, and succ and
-    forbidden are built on first use, by extends alone.
+    succ[u] lists the matched partners of u's mirrored neighbours, that is
+    right_match mapped over adj[u]. Distinct mirrors have distinct partners,
+    so it has no repeats; it may hold u itself, a self-loop that changes no
+    closure. A forbidden vertex has an unmatched mirrored neighbour, a -1 in
+    that map. A critical set is exactly a succ-closed set that contains every
+    unmatched original and no forbidden vertex. This digraph is defined here
+    once and never stored: every walk maps right_match over adj as it goes.
+    The structure keeps the matching, X_min and the scans' answers; the
+    closure bitsets live only while _scans runs.
 
     Holds g.adj, not g: a reference to g from this value of the weak cache
     keyed by g would keep g alive forever.
@@ -157,22 +152,6 @@ class _CriticalStructure:
         self.in_xmin = in_xmin
         self.x_min = frozenset(compress(range(n), in_xmin))
 
-    @cached_property
-    def forbidden(self) -> list[bool]:
-        """forbidden[u]: some mirrored neighbour of u is unmatched."""
-        right_match = self.right_match
-        return [any(right_match[w] == -1 for w in nbrs) for nbrs in self.adj]
-
-    @cached_property
-    def succ(self) -> list[tuple[int, ...]]:
-        """succ[u]: the matched partners of u's mirrored neighbours, () for a
-        forbidden u. Distinct mirrors have distinct partners, so there are no
-        repeats; it may hold u itself, a self-loop that changes no closure."""
-        partner = self.right_match.__getitem__
-        return [() if f else tuple(map(partner, nbrs))
-                for f, nbrs in zip(self.forbidden, self.adj)]
-
-    @cached_property
     def _closures(self) -> tuple[list[int], list[int]]:
         """(comp, closures). A free vertex, in some critical set but not in
         X_min, has its strongly connected component's id 1 .. k as comp; the
@@ -277,7 +256,7 @@ class _CriticalStructure:
         greedy tests only diadem members, and only against Cl(I): if N(v) met
         Cl(v), it would meet Cl(I) + Cl(v) too.
         """
-        comp, closures = self._closures
+        comp, closures = self._closures()
         adj = self.adj
         x_bits = 0  # the components of the free part of X_min + Cl(I)
         chosen: list[int] = []
@@ -319,10 +298,12 @@ class _CriticalStructure:
             u = stack.pop()
             if u in seen:
                 continue
-            if u in nj or self.forbidden[u]:
-                return False  # u is in N(members), or members are blocked
+            if u in nj:
+                return False  # u is in N(members)
             seen.add(u)
-            for x in self.succ[u]:
+            for x in map(self.right_match.__getitem__, self.adj[u]):
+                if x == -1:
+                    return False  # u is forbidden: members are blocked
                 if not self.in_xmin[x] and x not in seen:
                     stack.append(x)
         return True

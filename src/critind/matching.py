@@ -1,33 +1,22 @@
 """Maximum matchings: Hopcroft-Karp for bipartite graphs (with Konig cover
 extraction) and blossom contraction for general graphs.
 
-Both kernels work on plain index lists. The critical structure runs each
-once per graph on the host adjacency: blossom gives mu(G) for the
-Konig-Egervary verdict, and its matching, doubled onto B(G), seeds
-hopcroft_karp, which then makes only the few augmentations left to reach
-n - d(G), with its phases started only from the blossom's roots.
-max_matching_bipartite and max_matching_general wrap the kernels for a
-Graph and validate the result as a Matching; they are cross-checks, and no
-production answer goes through them. blossom is Edmonds' contraction on top
-of a Karp-Sipser seed. The seed matches a vertex with one unmatched
-neighbour to that neighbour, which never loses optimality, and otherwise
-takes the greedy pick; it keeps degrees only when the graph has a degree-1
-vertex at all. The searches, one BFS alternating tree per root, start only
-from the core the peel left before its first greedy pick. They stop once
-they have won back as many edges as the greedy picks can have cost, or once
-fewer than two unmatched core vertices are waiting for a search: an
-augmenting path would join two of them, as a vertex whose search failed
-never ends one (Edmonds). With no greedy pick there is no search, and no
-Hopcroft-Karp root either. On sparse random graphs the peel settles almost
-everything (Karp & Sipser, FOCS 1981; Aronson, Frieze & Pittel, Random
-Struct. Algorithms 12, 1998). Blossom bases live in a union-find (Gabow,
-J. ACM 23, 1976), the scratch arrays are allocated once per call and reset
-only where a search touched them, and the lowest common base is found by
-stamping, so one search works only on the vertices of its tree and never on
-all n. A contraction walks its two paths under the bases as they were and
-merges them after both walks. Returned matchings are deterministic
-(vertices are scanned in index order) but not canonical; consumers should
-rely only on size and saturation structure.
+Both kernels work on plain index lists, and critical._CriticalStructure
+runs each once per graph on the host adjacency. Each proof sits at the
+function that relies on it:
+
+- hopcroft_karp: a warm start, and phases started only from given roots.
+- _seed: the Karp-Sipser peel never loses optimality, and a greedy pick
+  costs at most one matching edge.
+- blossom: why searching only from the seed's core, and stopping once
+  fewer than two of its vertices wait, gives a maximum matching.
+- _augmenter: one search works only on the vertices its tree touches.
+
+max_matching_bipartite, min_vertex_cover_bipartite, max_matching_general
+and has_augmenting_path wrap the kernels for a Graph; they are cross-checks,
+and no production answer goes through them. Returned matchings are
+deterministic (vertices are scanned in index order) but not canonical;
+consumers should rely only on size and saturation structure.
 """
 
 from __future__ import annotations
@@ -254,8 +243,9 @@ def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int]
     root, contracting blossoms as it meets them. If it reaches an unmatched
     vertex it flips the augmenting path into `match` and returns that
     vertex, the path's other end; otherwise it returns -1 and leaves `match`
-    as it was. Its scratch arrays are allocated here once; each search
-    resets only the vertices its tree touched, so it does no O(n) work.
+    as it was. Blossom bases live in a union-find (Gabow, J. ACM 23, 1976).
+    Its scratch arrays are allocated here once; each search resets only the
+    vertices its tree touched, so it does no O(n) work.
     """
     n = len(adj)
     parent = [-1] * n
@@ -359,7 +349,9 @@ def _seed(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int], int]:
     one matching edge: removing u and v takes at most two edges from a
     maximum matching of the rest, and the pick puts one back. So
     mu - |seed| <= picks, and on a forest, where every remainder has a leaf,
-    the peel alone is maximum.
+    the peel alone is maximum. On sparse random graphs the peel settles
+    almost everything (Aronson, Frieze & Pittel, Random Struct. Algorithms
+    12, 1998).
 
     The core C is the list, in index order, of the vertices that are
     unmatched and still have an unmatched neighbour when the first greedy

@@ -52,15 +52,25 @@ def konig_reference(g):
     return cover, x - neighborhood(g, x)
 
 
-def blocked_reference(g):
+def successors(g):
+    """(succ, forbidden) over the structure's matching, rebuilt here from
+    right_match and adj: succ[u] lists the matched partners of u's mirrored
+    neighbours, () when u is forbidden, one with an unmatched mirrored
+    neighbour."""
+    s = critical._structure(g)
+    forbidden = [any(s.right_match[w] == -1 for w in nbrs) for nbrs in s.adj]
+    succ = [() if f else tuple(s.right_match[w] for w in nbrs) for f, nbrs in zip(forbidden, s.adj)]
+    return succ, forbidden
+
+
+def blocked_reference(g, succ, forbidden):
     """blocked[u]: u's succ-closure meets a forbidden vertex, found by a
     search from the forbidden vertices over the reversed succ digraph."""
-    s = critical._structure(g)
     rev = [[] for _ in range(g.n)]
     for u in range(g.n):
-        for x in s.succ[u]:
+        for x in succ[u]:
             rev[x].append(u)
-    blocked = s.forbidden[:]
+    blocked = forbidden[:]
     stack = [u for u in range(g.n) if blocked[u]]
     while stack:
         x = stack.pop()
@@ -71,15 +81,15 @@ def blocked_reference(g):
     return blocked
 
 
-def assert_closures_mark_blocked(g):
+def assert_closures_mark_blocked(g, succ, forbidden):
     """Every blocked and X_min vertex has comp 0, the free vertices use
     exactly the component ids 1 .. k, closures[0] is 0, and the classes of
     comp on the free vertices are the strongly connected components of succ
     restricted to them."""
     nx = pytest.importorskip("networkx")
     s = critical._structure(g)
-    comp, closures = s._closures
-    blocked = blocked_reference(g)
+    comp, closures = s._closures()
+    blocked = blocked_reference(g, succ, forbidden)
     assert all(comp[u] == 0 for u in range(g.n) if blocked[u] or s.in_xmin[u])
     # Dulmage-Mendelsohn on B(G): the blocked vertices are exactly N(X_min).
     assert blocked == [not s.x_min.isdisjoint(g.adj[u]) for u in range(g.n)]
@@ -88,24 +98,24 @@ def assert_closures_mark_blocked(g):
     assert closures[0] == 0
     digraph = nx.DiGraph()
     digraph.add_nodes_from(free)
-    digraph.add_edges_from((u, x) for u in free for x in s.succ[u] if comp[x])
+    digraph.add_edges_from((u, x) for u in free for x in succ[u] if comp[x])
     classes = {}
     for u in free:
         classes.setdefault(comp[u], set()).add(u)
     assert sorted(map(sorted, classes.values())) == sorted(
         map(sorted, nx.strongly_connected_components(digraph)))
+    return comp, closures
 
 
-def reach_reference(g):
+def reach_reference(g, comp, succ):
     """reach[v]: the free vertices v reaches over succ minus X_min, as a
     bitset of their component ids. Least-fixpoint iteration of R(v) =
     {comp v} + the R(x) of v's free successors, from below, shares nothing
     with the Tarjan walk and its folds; a DFS per vertex would take seconds
     on the larger graphs here."""
     s = critical._structure(g)
-    comp = s._closures[0]
     free = [v for v in range(g.n) if comp[v]]
-    outs = {v: [x for x in s.succ[v] if not s.in_xmin[x]] for v in free}
+    outs = {v: [x for x in succ[v] if not s.in_xmin[x]] for v in free}
     reach = {v: 1 << comp[v] for v in free}
     changed = True
     while changed:
@@ -121,9 +131,9 @@ def reach_reference(g):
 
 
 def assert_closures_are_reachability(g):
-    assert_closures_mark_blocked(g)
-    comp, closures = critical._structure(g)._closures
-    for v, r in reach_reference(g).items():
+    succ, forbidden = successors(g)
+    comp, closures = assert_closures_mark_blocked(g, succ, forbidden)
+    for v, r in reach_reference(g, comp, succ).items():
         assert closures[comp[v]] == r, v
 
 
@@ -132,7 +142,7 @@ def scans_reference(g):
     when no neighbour lies in X_min or has its component's bit in the tested
     bits."""
     s = critical._structure(g)
-    comp, closures = s._closures
+    comp, closures = s._closures()
 
     def nbrs_miss(v, bits):
         return not any(s.in_xmin[w] or comp[w] and bits >> comp[w] & 1 for w in g.adj[v])
@@ -377,7 +387,7 @@ def test_scans_match_closure_walk_beyond_oracle_bound(n, c):
     # Past the oracle bound, the bitset scans are checked against the
     # per-set closure walk behind extends_to_critical_independent.
     g = sparse_graph(n, c, seed=n + c)
-    assert_closures_mark_blocked(g)
+    assert_closures_mark_blocked(g, *successors(g))
     assert diadem(g) == frozenset(
         v for v in range(n) if extends_to_critical_independent(g, [v])
     )
@@ -418,19 +428,22 @@ def test_one_scan_matches_full_scans_with_pendants(g):
     assert (max_critical_independent_set(g), diadem(g)) == scans_reference(g)
 
 
-def test_analyze_builds_no_succ_beyond_oracle_bound():
+def test_structure_keeps_answers_only():
+    # The closure bitsets die with the scan, and extends maps the matching
+    # over adj as it walks: nothing beyond the matching, X_min and the
+    # answers stays cached, before or after extends.
     g = sparse_graph(600, 2.7, seed=23)
     analyze(g)
     s = critical._structure(g)
-    assert "succ" not in vars(s) and "forbidden" not in vars(s)
-    # extends builds them on first use and still answers as before.
+    kept = {"n", "adj", "mu", "d", "right_match", "in_xmin", "x_min", "_scans"}
+    assert set(vars(s)) == kept
     d = critical_difference(g)
     rng = random.Random(23)
     for v in rng.sample(range(g.n), 12):
         j = frozenset([v])
         via_forced = forced_difference(g, ForcingConstraints(j, neighborhood(g, j))) == d
         assert extends_to_critical_independent(g, j) == via_forced
-    assert "succ" in vars(s) and "forbidden" in vars(s)
+    assert set(vars(s)) == kept
     assert diadem(g) == frozenset(v for v in range(g.n) if extends_to_critical_independent(g, [v]))
 
 
@@ -444,7 +457,7 @@ def test_closure_walk_peak_memory():
     s = critical._CriticalStructure(g)
     tracemalloc.start()
     try:
-        s._closures
+        got = s._closures()  # kept alive, so held counts comp and closures
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -461,14 +474,15 @@ def test_closure_walk_peak_memory():
 def test_closures_mark_blocked_beyond_oracle_bound(spec):
     # The corpus families at n = 300; each graph here has blocked vertices.
     g = generate(spec)
-    assert_closures_mark_blocked(g)
-    assert any(blocked_reference(g))
+    succ, forbidden = successors(g)
+    assert_closures_mark_blocked(g, succ, forbidden)
+    assert any(blocked_reference(g, succ, forbidden))
 
 
 @settings(max_examples=80)
 @given(graphs(max_n=10))
 def test_closures_mark_blocked(g):
-    assert_closures_mark_blocked(g)
+    assert_closures_mark_blocked(g, *successors(g))
 
 
 @pytest.mark.parametrize(("n", "c"), [(200, 2), (500, 3), (800, 4), (1000, 5), (1500, 2), (1500, 3)])

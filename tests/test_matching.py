@@ -10,14 +10,16 @@ from critind import (
     Matching,
     bipartite_double,
     bipartite_gnp,
+    difference,
     has_augmenting_path,
     hopcroft_karp,
+    is_independent,
     max_matching_bipartite,
     max_matching_general,
     min_vertex_cover_bipartite,
     mu_exact,
 )
-from critind import matching
+from critind import critical, matching
 from strategies import (
     bipartite_graphs,
     graphs,
@@ -331,10 +333,38 @@ def networkx_mu(g):
     return len(nx.max_weight_matching(ng, maxcardinality=True))
 
 
+def mate_size(mate):
+    return (len(mate) - mate.count(-1)) // 2
+
+
+def certified_mu(g, mate):
+    """The size of mate, a matching of G, when a certificate proves it
+    maximum, else None.
+
+    The certificate pins d = d(G) first. d(G) <= d: right_match is a
+    matching of B(G) of size n - d, and for any X at most |N(X)| + n - |X|
+    of its edges fit. d(G) >= d: X_min is independent with d(X_min) = d. A
+    matching of G doubles to one of B(G), so 2 mu <= n - d, and a matching
+    of size floor((n - d) / 2) is maximum.
+    """
+    s = critical._structure(g)
+    n, d = g.n, s.d
+    pairs = [(w, u) for w, u in enumerate(s.right_match) if u >= 0]
+    assert len(pairs) == len({u for _, u in pairs}) == n - d
+    assert all(w in g.adj[u] for w, u in pairs)
+    assert is_independent(g, s.x_min) and difference(g, s.x_min) == d
+    assert all(mate[v] == -1 or mate[v] in g.adj[v] and mate[mate[v]] == v for v in range(n))
+    size = mate_size(mate)
+    assert size <= (n - d) // 2
+    return size if size == (n - d) // 2 else None
+
+
 def assert_maximum(g):
-    """Returns mu(G) after checking the blossom against networkx."""
+    """Returns mu(G) after checking the blossom: by certificate where the
+    bound floor((n - d) / 2) is reached, else against networkx."""
     m = max_matching_general(g)
-    assert m.size == networkx_mu(g)
+    if certified_mu(g, [m.partner(v) for v in range(g.n)]) is None:
+        assert m.size == networkx_mu(g)
     assert not has_augmenting_path(g, m)
     return m.size
 
@@ -557,9 +587,9 @@ class TestWaitingRoots:
 
     @staticmethod
     def run(g, monkeypatch):
-        """mu from matching.blossom on g, the number of augmenters it built,
-        and per search its root, the roots waiting when it started (itself
-        included) and the end it matched, -1 when it failed."""
+        """The mate list of matching.blossom on g, the number of augmenters
+        it built, and per search its root, the roots waiting when it started
+        (itself included) and the end it matched, -1 when it failed."""
         seed, core, _ = matching._seed(g.adj)
         unmatched = [v for v in core if seed[v] == -1]
         built, searches = [], []
@@ -580,29 +610,31 @@ class TestWaitingRoots:
 
         monkeypatch.setattr(matching, "_augmenter", counted)
         mate, _ = matching.blossom(g.adj)
-        return (g.n - mate.count(-1)) // 2, len(built), searches
+        return mate, len(built), searches
 
     @pytest.mark.parametrize("g", [cycle(3), cycle(5), clique(5)], ids=["k3", "c5", "k5"])
     def test_one_root_left_starts_no_search(self, g, monkeypatch):
-        mu, built, searches = self.run(g, monkeypatch)
+        mate, built, searches = self.run(g, monkeypatch)
         assert (built, searches) == (1, [])
-        assert mu == mu_exact(g)
+        assert mate_size(mate) == mu_exact(g)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
     def test_disjoint_triangles(self, k, monkeypatch):
         g = disjoint_union_of([cycle(3)] * k)
-        mu, built, searches = self.run(g, monkeypatch)
+        mate, built, searches = self.run(g, monkeypatch)
         assert built == 1
         assert [(waiting, end) for _, waiting, end in searches] == [(w, -1) for w in range(k, 1, -1)]
-        assert mu == k == networkx_mu(g)
+        assert mate_size(mate) == k == networkx_mu(g)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_every_search_starts_with_two_waiting(self, seed, monkeypatch):
         g = sparse_graph(2500, 4, seed)
-        mu, built, searches = self.run(g, monkeypatch)
+        mate, built, searches = self.run(g, monkeypatch)
         assert built == 1
         assert all(waiting >= 2 for _, waiting, _ in searches)
-        assert mu == networkx_mu(g)
+        # networkx still judges seed 0, a cross-check of the blossom at this n.
+        if certified_mu(g, mate) is None or seed == 0:
+            assert mate_size(mate) == networkx_mu(g)
 
 
 @settings(max_examples=80)
