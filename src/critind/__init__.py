@@ -7,9 +7,7 @@ from .analysis import (
     analyze,
 )
 from .critical import (
-    BipartiteDouble,
     Decomposition,
-    ForcingConstraints,
     bipartite_double,
     critical_difference,
     decompose,

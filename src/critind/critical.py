@@ -17,9 +17,9 @@ Each proof sits at the function that relies on it:
 - _CriticalStructure.extends: a plain closure walk that relies on none of
   these, the scans' judge in the tests beyond the exhaustive oracle's bound.
 
-bipartite_double and forced_difference, with the Konig cover in
-matching.py, are independent cross-checks; no production answer goes
-through them.
+bipartite_double, the Graph of B(G), and forced_difference, one
+Hopcroft-Karp over index lists of a part of B(G), are independent
+cross-checks; no production answer goes through them.
 """
 
 from __future__ import annotations
@@ -30,14 +30,12 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable
 
-from .graph import Graph, check_vertex_set, induced_subgraph, neighborhood
-from .matching import BipartitePartition, blossom, hopcroft_karp, max_matching_bipartite
-# Unused here: bench/spans.py wraps this name on this module.
-from .matching import min_vertex_cover_bipartite
+from .graph import Graph, check_vertex_set, neighborhood
+from .matching import BipartitePartition, blossom, hopcroft_karp
+# Unused here: bench/spans.py wraps these names on this module.
+from .matching import max_matching_bipartite, min_vertex_cover_bipartite
 
 __all__ = [
-    "BipartiteDouble",
-    "ForcingConstraints",
     "Decomposition",
     "bipartite_double",
     "critical_difference",
@@ -52,27 +50,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BipartiteDouble:
-    """B(G): original vertices on the left, mirrored copies on the right.
-
-    Vertex u of the host maps to double index u; its mirror to n + u. An edge
-    uv of the host contributes u-(n+v) and v-(n+u), so the double has 2n
-    vertices and 2m edges and no edges within a side.
-    """
-
-    double: Graph
-    parts: BipartitePartition
-
-
-@dataclass(frozen=True)
-class ForcingConstraints:
-    """Vertices pinned inside / outside the set over which d is maximized."""
-
-    force_in: frozenset[int] = frozenset()
-    force_out: frozenset[int] = frozenset()
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """The unique split X = I + N(I) for a maximum critical independent set I."""
 
@@ -81,7 +58,14 @@ class Decomposition:
     Xc: frozenset[int]
 
 
-def bipartite_double(g: Graph) -> BipartiteDouble:
+def bipartite_double(g: Graph) -> tuple[Graph, BipartitePartition]:
+    """(double, parts): B(G), original vertices on the left, mirrored
+    copies on the right.
+
+    Vertex u of the host maps to double index u; its mirror to n + u. An edge
+    uv of the host contributes u-(n+v) and v-(n+u), so the double has 2n
+    vertices and 2m edges and no edges within a side.
+    """
     n = g.n
     existing = set(g.labels)
     suffix = "'"
@@ -91,7 +75,7 @@ def bipartite_double(g: Graph) -> BipartiteDouble:
     edges = [(u, n + v) for u in range(n) for v in g.adj[u]]
     double = Graph(labels, edges)
     parts = BipartitePartition(frozenset(range(n)), frozenset(range(n, 2 * n)))
-    return BipartiteDouble(double, parts)
+    return double, parts
 
 
 class _CriticalStructure:
@@ -342,27 +326,23 @@ def find_critical_independent_set(g: Graph) -> frozenset[int]:
     return _structure(g).x_min
 
 
-def forced_difference(g: Graph, constraints: ForcingConstraints) -> int:
+def forced_difference(g: Graph, force_in: Iterable[int] = (), force_out: Iterable[int] = ()) -> int:
     """max { d(X) : force_in subset of X, X disjoint from force_out }.
 
     Realized on the double: forced-in vertices saturate their mirrored
     neighborhood for free, forced-out vertices leave the selectable side but
-    stay present as mirrors, and the rest is a maximum matching.
+    stay present as mirrors, and the rest is a maximum matching, of the kept
+    originals into the mirrors outside N(force_in).
     """
-    force_in = check_vertex_set(g, constraints.force_in)
-    force_out = check_vertex_set(g, constraints.force_out)
+    force_in = check_vertex_set(g, force_in)
+    force_out = check_vertex_set(g, force_out)
     if force_in & force_out:
         raise ValueError("force_in and force_out overlap")
-    n = g.n
     nf = neighborhood(g, force_in)
-    dbl = bipartite_double(g)
-    keep = [u for u in range(n) if u not in force_in and u not in force_out]
-    keep += [n + w for w in range(n) if w not in nf]
-    sub, back = induced_subgraph(dbl.double, keep)
-    left = frozenset(i for i, orig in enumerate(back) if orig < n)
-    parts = BipartitePartition(left, frozenset(range(sub.n)) - left)
-    mu = max_matching_bipartite(sub, parts).size
-    return n - len(force_out) - len(nf) - mu
+    kept = [u for u in range(g.n) if u not in force_in and u not in force_out]
+    left_match, _ = hopcroft_karp([[w for w in g.adj[u] if w not in nf] for u in kept], g.n)
+    mu = len(kept) - left_match.count(-1)
+    return g.n - len(force_out) - len(nf) - mu
 
 
 def extends_to_critical_independent(g: Graph, members: Iterable[int]) -> bool:

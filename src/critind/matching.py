@@ -6,8 +6,7 @@ runs each once per graph on the host adjacency. Each proof sits at the
 function that relies on it:
 
 - hopcroft_karp: a warm start, and phases started only from given roots.
-- _seed: the Karp-Sipser peel never loses optimality, and a greedy pick
-  costs at most one matching edge.
+- _seed: the Karp-Sipser peel never loses optimality.
 - blossom: why searching only from the seed's core, and stopping once
   fewer than two of its vertices wait, gives a maximum matching.
 - _augmenter: one search works only on the vertices its tree touches.
@@ -336,22 +335,19 @@ def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int]
     return augment
 
 
-def _seed(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int], int]:
+def _seed(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     """A maximal matching to start the blossom searches from, as a mate
-    list, with the core it leaves to search and its count of greedy picks.
+    list, with the core it leaves to search.
 
     Karp-Sipser: while some unmatched vertex v has exactly one unmatched
     neighbour u, match v to u; otherwise match the next unmatched vertex in
     index order to its first unmatched neighbour. The peel never loses
     optimality (Karp & Sipser, FOCS 1981): a maximum matching of the still
     unmatched vertices that lacks uv leaves v free, so it matches u to some
-    w, and trading uw for uv keeps it maximum. A greedy pick uv costs at most
-    one matching edge: removing u and v takes at most two edges from a
-    maximum matching of the rest, and the pick puts one back. So
-    mu - |seed| <= picks, and on a forest, where every remainder has a leaf,
-    the peel alone is maximum. On sparse random graphs the peel settles
-    almost everything (Aronson, Frieze & Pittel, Random Struct. Algorithms
-    12, 1998).
+    w, and trading uw for uv keeps it maximum. So on a forest, where every
+    remainder has a leaf, the peel alone is maximum. On sparse random graphs
+    the peel settles almost everything (Aronson, Frieze & Pittel, Random
+    Struct. Algorithms 12, 1998).
 
     The core C is the list, in index order, of the vertices that are
     unmatched and still have an unmatched neighbour when the first greedy
@@ -366,7 +362,6 @@ def _seed(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int], int]:
     n = len(adj)
     match = [-1] * n
     deg = list(map(len, adj))
-    picks = 0
     if 1 not in deg:
         core = list(compress(range(n), deg))
         for v in core:
@@ -375,9 +370,8 @@ def _seed(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int], int]:
                     if match[u] == -1:
                         match[v] = u
                         match[u] = v
-                        picks += 1
                         break
-        return match, core, picks
+        return match, core
     # From here deg[v] is v's count of unmatched neighbours while v is
     # unmatched, and 0 once v is matched. An unmatched neighbour of an
     # unmatched vertex therefore always reads nonzero.
@@ -399,9 +393,8 @@ def _seed(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int], int]:
             while nxt < n and not deg[nxt]:
                 nxt += 1
             if nxt == n:
-                return match, core, picks
+                return match, core
             v = nxt
-            picks += 1
         for u in adj[v]:
             if deg[u]:
                 break
@@ -427,19 +420,16 @@ def blossom(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     below; hopcroft_karp needs to start only from roots (see
     critical._CriticalStructure).
 
-    A Karp-Sipser seed first (_seed). Then, if it made any greedy pick, one
-    blossom search over the full adjacency from each vertex of C that the
-    seed left unmatched and that is still unmatched when its turn comes.
-    The searches stop once there have been as many successes as picks, or
-    once fewer than two vertices are waiting: unmatched vertices of C not
-    yet searched from. With no pick there is no search at all.
+    A Karp-Sipser seed first (_seed). Then one blossom search over the full
+    adjacency from each vertex of C that the seed left unmatched and that is
+    still unmatched when its turn comes, until fewer than two vertices are
+    waiting: unmatched vertices of C not yet searched from. A seed with no
+    greedy pick leaves C empty and runs no search.
 
     Why that is maximum. Let P be the peels before the first greedy pick
     (all of them if there is none), U the vertices they leave unmatched, C
     as in _seed and Z = U - C, the vertices of U with no neighbour in U.
-    Peels keep optimality, so mu(G) = |P| + mu(G[U]) = |P| + mu(G[C]). If
-    the searches stop at `picks` successes the matching has |seed| + picks
-    >= mu edges and is maximum. Otherwise fewer than two are waiting. Let
+    Peels keep optimality, so mu(G) = |P| + mu(G[U]) = |P| + mu(G[C]). Let
     Z_now be the vertices of Z unmatched right now.
     - G - Z_now still holds P and G[C], so mu(G - Z_now) = mu(G).
     - An augmentation never unmatches a vertex, so every unmatched vertex
@@ -457,20 +447,17 @@ def blossom(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     and a failed search writes nothing to mate: (mate, roots) are those
     that a search from every vertex still waiting would give.
     """
-    match, core, picks = _seed(adj)
+    match, core = _seed(adj)
     unmatched = [v for v in core if match[v] == -1]
-    if picks:
+    if unmatched:
         augment = _augmenter(adj, match)
         waiting = set(unmatched)
         for v in unmatched:
-            if not picks or len(waiting) < 2:
+            if len(waiting) < 2:
                 break
             if v in waiting:
                 waiting.remove(v)
-                end = augment(v)
-                if end != -1:
-                    waiting.discard(end)
-                    picks -= 1
+                waiting.discard(augment(v))
     return match, [v for v in unmatched if match[v] == -1]
 
 

@@ -58,6 +58,17 @@ def sparse_graph(n: int, c: float, seed: int) -> Graph:
     return Graph([f"v{i}" for i in range(n)], sorted(edges))
 
 
+def two_choice_bipartite(a: int, seed: int) -> Graph:
+    """A seeded sparse bipartite graph: left vertices 0 .. a-1, right
+    vertices a .. 3a-1, each right vertex joined to 2 distinct random left
+    vertices. The Karp-Sipser seed leaves about a core vertices unmatched,
+    so the blossom runs about a searches, each over much of the graph; on
+    the seeds tried every one of them fails."""
+    rng = random.Random(seed)
+    edges = [(u, a + j) for j in range(2 * a) for u in rng.sample(range(a), 2)]
+    return Graph([f"l{i}" for i in range(a)] + [f"r{j}" for j in range(2 * a)], sorted(edges))
+
+
 def dimacs_text(g: Graph) -> str:
     """g as DIMACS text: the problem line, then one 'e i j' line per edge."""
     lines = [f"p edge {g.n} {g.m}"] + [f"e {u + 1} {v + 1}" for u, v in g.edges()]

@@ -237,7 +237,9 @@ def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("production path reached a cross-check")
 
-    for name in ("bipartite_double", "max_matching_bipartite", "min_vertex_cover_bipartite"):
+    for name in (
+        "bipartite_double", "forced_difference", "max_matching_bipartite", "min_vertex_cover_bipartite"
+    ):
         monkeypatch.setattr(critical, name, refuse)
     for name in ("max_matching_general", "max_matching_bipartite", "Matching", "BipartitePartition"):
         monkeypatch.setattr(matching, name, refuse)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from critind import (
-    ForcingConstraints,
     analyze,
     GeneratorSpec,
     Graph,
@@ -45,9 +44,9 @@ def edgeless(n):
 def konig_reference(g):
     """(cover, S): a minimum vertex cover of B(G), built on the double, and
     the originals it leaves out minus their neighbourhood."""
-    dbl = bipartite_double(g)
-    m = max_matching_bipartite(dbl.double, dbl.parts)
-    cover = min_vertex_cover_bipartite(dbl.double, dbl.parts, m)
+    double, parts = bipartite_double(g)
+    m = max_matching_bipartite(double, parts)
+    cover = min_vertex_cover_bipartite(double, parts, m)
     x = frozenset(u for u in range(g.n) if u not in cover)
     return cover, x - neighborhood(g, x)
 
@@ -169,29 +168,29 @@ def networkx_d(g):
 class TestBipartiteDouble:
     def test_k2(self):
         g = Graph(["a", "b"], [(0, 1)])
-        dbl = bipartite_double(g)
+        double, _ = bipartite_double(g)
         # 2n vertices and 2m edges: the mirror pair of every host edge.
-        assert dbl.double.n == 4
-        assert dbl.double.m == 2
-        assert dbl.double.edges() == [(0, 3), (1, 2)]
+        assert double.n == 4
+        assert double.m == 2
+        assert double.edges() == [(0, 3), (1, 2)]
 
     def test_edgeless(self):
-        dbl = bipartite_double(edgeless(3))
-        assert dbl.double.n == 6 and dbl.double.m == 0
+        double, _ = bipartite_double(edgeless(3))
+        assert double.n == 6 and double.m == 0
 
     def test_g1_counts(self, g1):
-        dbl = bipartite_double(g1)
-        assert dbl.double.n == 14 and dbl.double.m == 14
+        double, _ = bipartite_double(g1)
+        assert double.n == 14 and double.m == 14
 
     def test_no_edges_within_sides(self, gf):
-        dbl = bipartite_double(gf)
-        for u, v in dbl.double.edges():
-            assert (u in dbl.parts.left) != (v in dbl.parts.left)
+        double, parts = bipartite_double(gf)
+        for u, v in double.edges():
+            assert (u in parts.left) != (v in parts.left)
 
     def test_label_collision_resolved(self):
         g = Graph(["a", "a'"], [(0, 1)])
-        dbl = bipartite_double(g)
-        assert len(set(dbl.double.labels)) == 4
+        double, _ = bipartite_double(g)
+        assert len(set(double.labels)) == 4
 
 
 class TestCriticalDifference:
@@ -224,24 +223,23 @@ class TestFindCriticalIndependentSet:
 
 class TestForcedDifference:
     def test_gf_force_a(self, gf):
-        assert forced_difference(gf, ForcingConstraints(force_in=gf.indices("a"))) == 1
+        assert forced_difference(gf, force_in=gf.indices("a")) == 1
 
     def test_empty_constraints_reduce_to_d(self, g1, g2, gf):
         for g in (g1, g2, gf):
-            assert forced_difference(g, ForcingConstraints()) == critical_difference(g)
+            assert forced_difference(g) == critical_difference(g)
 
     def test_g2_force_j(self, g2):
         # Over all supersets of {j}: X = V \ {e} attains d = 1 (own brute
         # force; see test_matches_brute_force for the oracle).
-        assert forced_difference(g2, ForcingConstraints(force_in=g2.indices("j"))) == 1
+        assert forced_difference(g2, force_in=g2.indices("j")) == 1
 
     def test_g2_force_j_out_neighbors(self, g2):
-        c = ForcingConstraints(force_in=g2.indices("j"), force_out=g2.indices("hi"))
-        assert forced_difference(g2, c) == 0
+        assert forced_difference(g2, g2.indices("j"), g2.indices("hi")) == 0
 
     def test_overlap_rejected(self, g1):
         with pytest.raises(ValueError):
-            forced_difference(g1, ForcingConstraints(g1.indices("a"), g1.indices("ab")))
+            forced_difference(g1, g1.indices("a"), g1.indices("ab"))
 
     def test_matches_brute_force(self):
         rng = random.Random(5)
@@ -251,7 +249,7 @@ class TestForcedDifference:
             force_in = frozenset(rng.sample(range(n), rng.randint(0, min(2, n))))
             rest = [v for v in range(n) if v not in force_in]
             force_out = frozenset(rng.sample(rest, rng.randint(0, min(2, len(rest)))))
-            got = forced_difference(g, ForcingConstraints(force_in, force_out))
+            got = forced_difference(g, force_in, force_out)
             want = max(
                 difference(g, s)
                 for mask in range(1 << n)
@@ -260,13 +258,43 @@ class TestForcedDifference:
             )
             assert got == want
 
+    @pytest.mark.parametrize("n", [2000, 5000])
+    def test_no_constraints_equal_d_beyond_oracle_bound(self, n):
+        # An explicit double judges the index lists: the Konig cover of the
+        # double built as a Graph, and networkx's matching of its own copy.
+        g = sparse_graph(n, 2.7, seed=n)
+        cover, _ = konig_reference(g)
+        assert forced_difference(g) == n - len(cover) == networkx_d(g)
+
+    def test_pinning_a_vertex_agrees_with_extends_beyond_oracle_bound(self):
+        g = sparse_graph(2000, 2.7, seed=31)
+        d = critical_difference(g)
+        got = set()
+        for v in random.Random(31).sample(range(g.n), 40):
+            pinned = forced_difference(g, [v], g.adj[v]) == d
+            assert pinned == extends_to_critical_independent(g, [v])
+            got.add(pinned)
+        assert got == {True, False}
+
+    def test_builds_no_graph(self, monkeypatch):
+        g = sparse_graph(600, 2.7, seed=7)
+        d = critical_difference(g)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forced_difference built a Graph")
+
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        assert forced_difference(g) == d
+        assert forced_difference(g, [0], g.adj[0]) <= d
+        assert forced_difference(g, force_out=range(10)) <= d
+
     def test_force_in_monotone(self):
         rng = random.Random(6)
         for _ in range(40):
             g = gnp(rng.randint(1, 9), 0.4, rng.getrandbits(32))
             v = rng.randrange(g.n)
-            base = forced_difference(g, ForcingConstraints())
-            narrowed = forced_difference(g, ForcingConstraints(force_in=frozenset([v])))
+            base = forced_difference(g)
+            narrowed = forced_difference(g, force_in=[v])
             assert narrowed <= base
 
 
@@ -286,7 +314,7 @@ class TestExtends:
             g = gnp(n, rng.choice([0.2, 0.5]), rng.getrandbits(32))
             j = frozenset(rng.sample(range(n), rng.randint(0, min(4, n))))
             via_forced = is_independent(g, j) and forced_difference(
-                g, ForcingConstraints(j, neighborhood(g, j))
+                g, j, neighborhood(g, j)
             ) == critical_difference(g)
             assert extends_to_critical_independent(g, j) == via_forced
 
@@ -441,7 +469,7 @@ def test_structure_keeps_answers_only():
     rng = random.Random(23)
     for v in rng.sample(range(g.n), 12):
         j = frozenset([v])
-        via_forced = forced_difference(g, ForcingConstraints(j, neighborhood(g, j))) == d
+        via_forced = forced_difference(g, j, neighborhood(g, j)) == d
         assert extends_to_critical_independent(g, j) == via_forced
     assert set(vars(s)) == kept
     assert diadem(g) == frozenset(v for v in range(g.n) if extends_to_critical_independent(g, [v]))

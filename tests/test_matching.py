@@ -11,6 +11,7 @@ from critind import (
     bipartite_double,
     bipartite_gnp,
     difference,
+    forced_difference,
     has_augmenting_path,
     hopcroft_karp,
     is_independent,
@@ -27,6 +28,7 @@ from strategies import (
     permuted,
     random_pendants,
     sparse_graph,
+    two_choice_bipartite,
 )
 
 
@@ -116,8 +118,8 @@ class TestMatchingType:
 
 class TestBipartiteMatching:
     def test_double_of_g1(self, g1):
-        dbl = bipartite_double(g1)
-        m = max_matching_bipartite(dbl.double, dbl.parts)
+        double, parts = bipartite_double(g1)
+        m = max_matching_bipartite(double, parts)
         assert m.size == 6
 
     def test_star(self):
@@ -194,9 +196,9 @@ class TestKonigCover:
         assert len(cover) == 2
 
     def test_double_of_gf(self, gf):
-        dbl = bipartite_double(gf)
-        m = max_matching_bipartite(dbl.double, dbl.parts)
-        cover = min_vertex_cover_bipartite(dbl.double, dbl.parts, m)
+        double, parts = bipartite_double(gf)
+        m = max_matching_bipartite(double, parts)
+        cover = min_vertex_cover_bipartite(double, parts, m)
         assert m.size == 9
         assert len(cover) == 9
 
@@ -384,7 +386,7 @@ def greedy_reference(adj):
 def assert_peel_is_maximum(g):
     # On a forest every nonempty remainder has a leaf, so the seed never
     # falls back to a greedy pick and needs no search.
-    mate, _, _ = matching._seed(g.adj)
+    mate, _ = matching._seed(g.adj)
     Matching(g, ((u, w) for u, w in enumerate(mate) if w > u))  # validates it
     assert mate.count(-1) == g.n - 2 * assert_maximum(g)
 
@@ -461,14 +463,16 @@ class TestKarpSipserSeed:
         [[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], [(1, 5), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6)]],
         ids=["diamond", "edge-and-diamond"],
     )
-    def test_greedy_pick_that_costs_an_edge(self, edges):
+    def test_greedy_pick_that_costs_an_edge(self, edges, monkeypatch):
         # The one greedy pick takes a diamond's middle edge and strands both
-        # tips, so the seed is one edge short and exactly one search must
-        # succeed: the searches may stop after `picks` successes, no sooner.
+        # tips, so the seed is one edge short. Exactly one search runs: it
+        # starts with both tips waiting and succeeds, which leaves none.
         g = Graph([f"v{i}" for i in range(max(map(max, edges)) + 1)], edges)
-        mate, _, picks = matching._seed(g.adj)
-        assert picks == 1
-        assert mate.count(-1) == g.n - 2 * (mu_exact(g) - 1)
+        seed, _ = matching._seed(g.adj)
+        assert seed.count(-1) == g.n - 2 * (mu_exact(g) - 1)
+        _, built, searches = TestWaitingRoots.run(g, monkeypatch)
+        assert built == 1
+        assert [(waiting, end != -1) for _, waiting, end in searches] == [(2, True)]
         assert_maximum(g)
 
     @pytest.mark.parametrize(
@@ -516,7 +520,7 @@ class TestNoGreedyPick:
 
     @staticmethod
     def check(g, monkeypatch):
-        assert matching._seed(g.adj)[1:] == ([], 0)
+        assert matching._seed(g.adj)[1] == []
         mu = assert_maximum(g)
         built = []
         augmenter = matching._augmenter
@@ -552,17 +556,13 @@ class TestNoGreedyPick:
 
 
 def blossom_searching_every_root(adj):
-    """The blossom loop without the waiting count: a search from every core
-    vertex still unmatched when its turn comes, stopping only after `picks`
-    successes."""
-    mate, core, picks = matching._seed(adj)
-    if picks:
-        augment = matching._augmenter(adj, mate)
-        for v in core:
-            if mate[v] == -1 and augment(v) != -1:
-                picks -= 1
-                if not picks:
-                    break
+    """The blossom loop with no stop rule: a search from every core vertex
+    still unmatched when its turn comes."""
+    mate, core = matching._seed(adj)
+    augment = matching._augmenter(adj, mate)
+    for v in core:
+        if mate[v] == -1:
+            augment(v)
     return mate, [v for v in core if mate[v] == -1]
 
 
@@ -590,7 +590,7 @@ class TestWaitingRoots:
         """The mate list of matching.blossom on g, the number of augmenters
         it built, and per search its root, the roots waiting when it started
         (itself included) and the end it matched, -1 when it failed."""
-        seed, core, _ = matching._seed(g.adj)
+        seed, core = matching._seed(g.adj)
         unmatched = [v for v in core if seed[v] == -1]
         built, searches = [], []
         augmenter = matching._augmenter
@@ -635,6 +635,20 @@ class TestWaitingRoots:
         # networkx still judges seed 0, a cross-check of the blossom at this n.
         if certified_mu(g, mate) is None or seed == 0:
             assert mate_size(mate) == networkx_mu(g)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("a", [100, 500])
+def test_two_choice_bipartite_beyond_oracle_bound(a, seed):
+    # Every search from the seed's core fails here, each over much of the
+    # graph. B(G) of a bipartite G is two copies of G, so d = n - 2 mu, and
+    # the certificate always reaches its bound; forced_difference reads d
+    # again from its own Hopcroft-Karp.
+    g = two_choice_bipartite(a, seed)
+    mate, _ = matching.blossom(g.adj)
+    mu = certified_mu(g, mate)
+    assert mu is not None
+    assert forced_difference(g) == g.n - 2 * mu
 
 
 @settings(max_examples=80)
