@@ -37,8 +37,6 @@ from .graph import (
     to_edge_list,
 )
 from .matching import (
-    BipartitePartition,
-    Matching,
     blossom,
     has_augmenting_path,
     hopcroft_karp,

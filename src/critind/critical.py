@@ -31,7 +31,7 @@ from itertools import compress
 from typing import Iterable
 
 from .graph import Graph, check_vertex_set, neighborhood
-from .matching import BipartitePartition, blossom, hopcroft_karp
+from .matching import blossom, hopcroft_karp
 # Unused here: bench/spans.py wraps these names on this module.
 from .matching import max_matching_bipartite, min_vertex_cover_bipartite
 
@@ -58,13 +58,12 @@ class Decomposition:
     Xc: frozenset[int]
 
 
-def bipartite_double(g: Graph) -> tuple[Graph, BipartitePartition]:
-    """(double, parts): B(G), original vertices on the left, mirrored
-    copies on the right.
+def bipartite_double(g: Graph) -> Graph:
+    """B(G), its left side range(g.n): vertex u of the host keeps index u,
+    and its mirror on the right side is n + u.
 
-    Vertex u of the host maps to double index u; its mirror to n + u. An edge
-    uv of the host contributes u-(n+v) and v-(n+u), so the double has 2n
-    vertices and 2m edges and no edges within a side.
+    An edge uv of the host contributes u-(n+v) and v-(n+u), so the double
+    has 2n vertices and 2m edges and no edges within a side.
     """
     n = g.n
     existing = set(g.labels)
@@ -72,10 +71,7 @@ def bipartite_double(g: Graph) -> tuple[Graph, BipartitePartition]:
     while any(lab + suffix in existing for lab in g.labels):
         suffix += "'"
     labels = list(g.labels) + [lab + suffix for lab in g.labels]
-    edges = [(u, n + v) for u in range(n) for v in g.adj[u]]
-    double = Graph(labels, edges)
-    parts = BipartitePartition(frozenset(range(n)), frozenset(range(n, 2 * n)))
-    return double, parts
+    return Graph(labels, [(u, n + v) for u in range(n) for v in g.adj[u]])
 
 
 class _CriticalStructure:

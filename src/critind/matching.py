@@ -13,23 +13,21 @@ function that relies on it:
 
 max_matching_bipartite, min_vertex_cover_bipartite, max_matching_general
 and has_augmenting_path wrap the kernels for a Graph; they are cross-checks,
-and no production answer goes through them. Returned matchings are
-deterministic (vertices are scanned in index order) but not canonical;
-consumers should rely only on size and saturation structure.
+and no production answer goes through them. Every matching, taken or
+returned, is a mate list: mate[v] is v's partner, or -1 when v is
+unmatched. Returned matchings are deterministic (vertices are scanned in
+index order) but not canonical.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, check_vertex_set
 
 __all__ = [
-    "Matching",
-    "BipartitePartition",
     "hopcroft_karp",
     "blossom",
     "max_matching_bipartite",
@@ -39,64 +37,23 @@ __all__ = [
 ]
 
 
-class Matching:
-    """A set of pairwise non-incident edges of a host graph."""
-
-    __slots__ = ("edges", "_partner")
-
-    def __init__(self, g: Graph, pairs: Iterable[tuple[int, int]]):
-        partner: dict[int, int] = {}
-        edges: set[tuple[int, int]] = set()
-        for u, v in pairs:
-            if not g.has_edge(u, v):
-                raise ValueError(f"matching edge ({u}, {v}) is not an edge of the graph")
-            if u in partner or v in partner:
-                raise ValueError(f"matching edges share vertex at ({u}, {v})")
-            partner[u] = v
-            partner[v] = u
-            edges.add((min(u, v), max(u, v)))
-        self.edges = frozenset(edges)
-        self._partner = partner
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    @property
-    def saturated(self) -> frozenset[int]:
-        """Vertices incident to a matching edge."""
-        return frozenset(self._partner)
-
-    def partner(self, v: int) -> int:
-        """Matched partner of v, or -1 when v is unsaturated."""
-        return self._partner.get(v, -1)
-
-    def is_saturated(self, v: int) -> bool:
-        return v in self._partner
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+def _validate_partition(g: Graph, left: Iterable[int]) -> frozenset[int]:
+    """left as a frozenset, once every edge has exactly one end in it."""
+    left = check_vertex_set(g, left)
+    for u, v in g.edges():
+        if (u in left) == (v in left):
+            raise ValueError(f"edge inside one side of the bipartition at vertex {u}")
+    return left
 
 
-@dataclass(frozen=True)
-class BipartitePartition:
-    """A two-coloring of the vertex set; no edge may run inside a side."""
-
-    left: frozenset[int]
-    right: frozenset[int]
-
-
-def _validate_partition(g: Graph, parts: BipartitePartition) -> None:
-    left = check_vertex_set(g, parts.left)
-    right = check_vertex_set(g, parts.right)
-    if left & right:
-        raise ValueError("bipartition sides overlap")
-    if len(left) + len(right) != g.n:
-        raise ValueError("bipartition does not cover the vertex set")
-    for side in (left, right):
-        for u in side:
-            if any(w in side for w in g.adj[u]):
-                raise ValueError(f"edge inside one side of the bipartition at vertex {u}")
+def _validate_mate(g: Graph, mate: Sequence[int]) -> None:
+    """Raises unless mate is a mate list of a matching of g: length n,
+    symmetric, and every pair an edge of g."""
+    if len(mate) != g.n:
+        raise ValueError(f"mate list has length {len(mate)}, not n={g.n}")
+    for v, u in enumerate(mate):
+        if u != -1 and not (0 <= u < g.n and mate[u] == v and g.has_edge(u, v)):
+            raise ValueError(f"mate[{v}] = {u} is not a matching edge of the graph")
 
 
 def hopcroft_karp(
@@ -188,42 +145,43 @@ def hopcroft_karp(
     return match_left, match_right
 
 
-def max_matching_bipartite(g: Graph, parts: BipartitePartition) -> Matching:
-    """Maximum matching via Hopcroft-Karp, each side numbered in sorted
-    order so that the kernel scans in the host's index order."""
-    _validate_partition(g, parts)
-    left = sorted(parts.left)
-    right = sorted(parts.right)
-    pos = {w: j for j, w in enumerate(right)}
-    adj = [[pos[w] for w in g.adj[u]] for u in left]
-    match_left, _ = hopcroft_karp(adj, len(right))
-    return Matching(g, ((u, right[j]) for u, j in zip(left, match_left) if j != -1))
+def max_matching_bipartite(g: Graph, left: Iterable[int]) -> list[int]:
+    """Maximum matching via Hopcroft-Karp, as a mate list over g; left is
+    one side of a bipartition. The left side is numbered in sorted order and
+    the right side keeps its host indices, so the kernel scans in the host's
+    index order."""
+    left = sorted(_validate_partition(g, left))
+    match_left, _ = hopcroft_karp([g.adj[u] for u in left], g.n)
+    mate = [-1] * g.n
+    for u, w in zip(left, match_left):
+        if w != -1:
+            mate[u] = w
+            mate[w] = u
+    return mate
 
 
-def min_vertex_cover_bipartite(g: Graph, parts: BipartitePartition, m: Matching) -> frozenset[int]:
+def min_vertex_cover_bipartite(g: Graph, left: Iterable[int], mate: Sequence[int]) -> frozenset[int]:
     """Konig cover: alternate from unmatched left vertices; complement on the
-    left, intersection on the right. Raises if m turns out non-maximum."""
-    _validate_partition(g, parts)
-    left = parts.left
-    reach: set[int] = set()
-    queue = deque(u for u in sorted(left) if not m.is_saturated(u))
-    reach.update(queue)
+    left, intersection on the right. Raises if mate turns out non-maximum."""
+    left = _validate_partition(g, left)
+    _validate_mate(g, mate)
+    queue = deque(u for u in sorted(left) if mate[u] == -1)
+    reach = set(queue)
     while queue:
         u = queue.popleft()
         for w in g.adj[u]:
             if w in reach:
                 continue
             reach.add(w)
-            x = m.partner(w)
+            x = mate[w]
             if x != -1 and x not in reach:
                 reach.add(x)
                 queue.append(x)
-    cover = frozenset(u for u in left if u not in reach) | frozenset(
-        w for w in parts.right if w in reach
-    )
-    if len(cover) != m.size:
+    cover = frozenset(v for v in range(g.n) if (v in left) != (v in reach))
+    size = (g.n - mate.count(-1)) // 2
+    if len(cover) != size:
         raise ValueError(
-            f"cover size {len(cover)} != matching size {m.size}; matching is not maximum"
+            f"cover size {len(cover)} != matching size {size}; matching is not maximum"
         )
     for u, v in g.edges():
         if u not in cover and v not in cover:
@@ -461,17 +419,15 @@ def blossom(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     return match, [v for v in unmatched if match[v] == -1]
 
 
-def max_matching_general(g: Graph) -> Matching:
+def max_matching_general(g: Graph) -> list[int]:
     """Maximum matching in an arbitrary simple graph (handles odd cycles)."""
-    mate, _ = blossom(g.adj)
-    return Matching(g, ((u, mate[u]) for u in range(g.n) if mate[u] > u))
+    return blossom(g.adj)[0]
 
 
-def has_augmenting_path(g: Graph, m: Matching) -> bool:
-    """True iff an augmenting path for m exists (false exactly at maximum)."""
-    match = [-1] * g.n
-    for u, v in m.edges:
-        match[u] = v
-        match[v] = u
+def has_augmenting_path(g: Graph, mate: Sequence[int]) -> bool:
+    """True iff an augmenting path for mate exists (false exactly at
+    maximum). The search runs on a copy, as _augmenter writes into its list."""
+    _validate_mate(g, mate)
+    match = list(mate)
     augment = _augmenter(g.adj, match)
     return any(augment(v) != -1 for v in range(g.n) if match[v] == -1)

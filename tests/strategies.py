@@ -7,7 +7,8 @@ from typing import Sequence
 
 from hypothesis import strategies as st
 
-from critind import Graph
+from critind import Graph, difference, is_independent
+from critind import critical
 
 
 @st.composite
@@ -67,6 +68,44 @@ def two_choice_bipartite(a: int, seed: int) -> Graph:
     rng = random.Random(seed)
     edges = [(u, a + j) for j in range(2 * a) for u in rng.sample(range(a), 2)]
     return Graph([f"l{i}" for i in range(a)] + [f"r{j}" for j in range(2 * a)], sorted(edges))
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b}: the a-side is vertices 0 .. a-1, the b-side a .. a+b-1."""
+    edges = [(u, a + j) for u in range(a) for j in range(b)]
+    return Graph([f"a{i}" for i in range(a)] + [f"b{j}" for j in range(b)], edges)
+
+
+def path(n: int) -> Graph:
+    """P_n on vertices 0 .. n-1 in path order."""
+    return Graph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+
+
+def mate_size(mate: Sequence[int]) -> int:
+    """The number of edges of a matching given as a mate list."""
+    return (len(mate) - mate.count(-1)) // 2
+
+
+def certified_mu(g: Graph, mate: Sequence[int]) -> int | None:
+    """The size of mate, a matching of G, when a certificate proves it
+    maximum, else None.
+
+    The certificate pins d = d(G) first. d(G) <= d: right_match is a
+    matching of B(G) of size n - d, and for any X at most |N(X)| + n - |X|
+    of its edges fit. d(G) >= d: X_min is independent with d(X_min) = d. A
+    matching of G doubles to one of B(G), so 2 mu <= n - d, and a matching
+    of size floor((n - d) / 2) is maximum.
+    """
+    s = critical._structure(g)
+    n, d = g.n, s.d
+    pairs = [(w, u) for w, u in enumerate(s.right_match) if u >= 0]
+    assert len(pairs) == len({u for _, u in pairs}) == n - d
+    assert all(w in g.adj[u] for w, u in pairs)
+    assert is_independent(g, s.x_min) and difference(g, s.x_min) == d
+    assert all(mate[v] == -1 or mate[v] in g.adj[v] and mate[mate[v]] == v for v in range(n))
+    size = mate_size(mate)
+    assert size <= (n - d) // 2
+    return size if size == (n - d) // 2 else None
 
 
 def dimacs_text(g: Graph) -> str:

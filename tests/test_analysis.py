@@ -233,7 +233,7 @@ def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
     # behind the cached structure, the latter seeded with the doubled
     # blossom matching; the double and the Konig cover are cross-checks only.
     # The checks run the matching kernels on index lists, so no Graph of
-    # analysis.py's own, no Matching and no BipartitePartition is built.
+    # analysis.py's own is built and no reference wrapper runs.
     def refuse(*args, **kwargs):
         raise AssertionError("production path reached a cross-check")
 
@@ -241,7 +241,7 @@ def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
         "bipartite_double", "forced_difference", "max_matching_bipartite", "min_vertex_cover_bipartite"
     ):
         monkeypatch.setattr(critical, name, refuse)
-    for name in ("max_matching_general", "max_matching_bipartite", "Matching", "BipartitePartition"):
+    for name in ("max_matching_general", "max_matching_bipartite", "has_augmenting_path"):
         monkeypatch.setattr(matching, name, refuse)
     monkeypatch.setattr(analysis, "Graph", refuse)
     calls = []
@@ -285,8 +285,8 @@ def _beside_g2(draw):
 @settings(max_examples=60)
 @given(graphs(max_n=10) | _beside_g2())
 def test_l4_matching_witness_pairs_are_edges_from_a_to_target(g):
-    # The witness comes straight from hopcroft_karp on index lists, with no
-    # Matching to validate it, so check each pair against G here.
+    # The witness comes straight from hopcroft_karp on index lists, which
+    # nothing validates, so check each pair against G here.
     detail = {c.id: c for c in analyze(g).checks}["L4-matching"].detail
     a_side, target = set(detail["A"]), set(detail["target"])
     ends = [v for pair in detail["matching"] for v in pair]

@@ -34,7 +34,17 @@ from critind import (
     neighborhood,
 )
 from critind import critical
-from strategies import graphs, graphs_with_pendants, permuted, random_pendants, sparse_graph
+from strategies import (
+    certified_mu,
+    complete_bipartite,
+    graphs,
+    graphs_with_pendants,
+    mate_size,
+    path,
+    permuted,
+    random_pendants,
+    sparse_graph,
+)
 
 
 def edgeless(n):
@@ -44,9 +54,8 @@ def edgeless(n):
 def konig_reference(g):
     """(cover, S): a minimum vertex cover of B(G), built on the double, and
     the originals it leaves out minus their neighbourhood."""
-    double, parts = bipartite_double(g)
-    m = max_matching_bipartite(double, parts)
-    cover = min_vertex_cover_bipartite(double, parts, m)
+    double = bipartite_double(g)
+    cover = min_vertex_cover_bipartite(double, range(g.n), max_matching_bipartite(double, range(g.n)))
     x = frozenset(u for u in range(g.n) if u not in cover)
     return cover, x - neighborhood(g, x)
 
@@ -168,28 +177,28 @@ def networkx_d(g):
 class TestBipartiteDouble:
     def test_k2(self):
         g = Graph(["a", "b"], [(0, 1)])
-        double, _ = bipartite_double(g)
+        double = bipartite_double(g)
         # 2n vertices and 2m edges: the mirror pair of every host edge.
         assert double.n == 4
         assert double.m == 2
         assert double.edges() == [(0, 3), (1, 2)]
 
     def test_edgeless(self):
-        double, _ = bipartite_double(edgeless(3))
+        double = bipartite_double(edgeless(3))
         assert double.n == 6 and double.m == 0
 
     def test_g1_counts(self, g1):
-        double, _ = bipartite_double(g1)
+        double = bipartite_double(g1)
         assert double.n == 14 and double.m == 14
 
     def test_no_edges_within_sides(self, gf):
-        double, parts = bipartite_double(gf)
+        double = bipartite_double(gf)
         for u, v in double.edges():
-            assert (u in parts.left) != (v in parts.left)
+            assert (u < gf.n) != (v < gf.n)
 
     def test_label_collision_resolved(self):
         g = Graph(["a", "a'"], [(0, 1)])
-        double, _ = bipartite_double(g)
+        double = bipartite_double(g)
         assert len(set(double.labels)) == 4
 
 
@@ -554,7 +563,7 @@ def test_warm_start_matches_cold_matchings_beyond_oracle_bound(n, c):
     cold_left, _ = hopcroft_karp(g.adj, n)
     mu = critical.matching_number(g)
     assert critical_difference(g) == n - sum(j != -1 for j in cold_left)
-    assert mu == max_matching_general(g).size
+    assert mu == mate_size(max_matching_general(g))
     assert n - critical_difference(g) >= 2 * mu
 
 
@@ -602,6 +611,52 @@ def test_mu_below_fractional_bound_with_tails(length, copies):
 def test_d_matches_networkx_on_dense_graphs(seed):
     g = gnp(300, 0.3, seed)
     assert critical_difference(g) == networkx_d(g)
+
+
+@pytest.mark.parametrize(("a", "b"), [(5, 9), (30, 60)])
+def test_complete_bipartite_unbalanced(a, b):
+    # K_{a,b} with a < b: the a-side is matched and covers every edge, and
+    # the b-side, all independent, beats its neighbourhood by b - a.
+    g = complete_bipartite(a, b)
+    b_side = frozenset(range(a, a + b))
+    assert certified_mu(g, max_matching_general(g)) == a
+    mate = max_matching_bipartite(g, range(a))
+    assert mate_size(mate) == a
+    assert min_vertex_cover_bipartite(g, range(a), mate) == frozenset(range(a))
+    assert critical_difference(g) == b - a
+    assert max_critical_independent_set(g) == find_critical_independent_set(g) == diadem(g) == b_side
+
+
+@pytest.mark.parametrize("n", [*range(1, 12), 20000, 20001])
+def test_path_family(n):
+    # P_n: d = n mod 2, mu = floor(n/2), a maximum critical independent set
+    # has ceil(n/2) vertices, and the diadem is V for even n and the
+    # even-index vertices for odd n. The oracle judges n <= 11.
+    g = path(n)
+    want = frozenset(range(0, n, 1 + n % 2))
+    assert critical_difference(g) == n % 2
+    assert critical.matching_number(g) == n // 2
+    assert len(max_critical_independent_set(g)) == (n + 1) // 2
+    assert diadem(g) == want
+    if n <= 11:
+        fam = critical_family(g)
+        assert (fam.d, mu_exact(g), fam.diadem) == (n % 2, n // 2, want)
+        assert max(map(len, fam.maximum_critical_independent)) == (n + 1) // 2
+
+
+@pytest.mark.parametrize("n", [20000, 20001])
+def test_path_with_triangle_beyond_oracle_bound(n):
+    # P_n plus the edge 0-2: not bipartite, so the scans do real closure work.
+    g = Graph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)] + [(0, 2)])
+    d = critical_difference(g)
+    assert forced_difference(g) == d
+    assert certified_mu(g, max_matching_general(g)) == critical.matching_number(g) == n // 2
+    dia = diadem(g)
+    got = set()
+    for v in random.Random(n).sample(range(n), 40):
+        assert (v in dia) == extends_to_critical_independent(g, [v])
+        got.add(v in dia)
+    assert got == {True, False}
 
 
 def test_structure_cache_frees_dropped_graphs():
@@ -666,7 +721,7 @@ def test_decomposition_properties(g):
         == independence_profile(gx).alpha + independence_profile(gxc).alpha
     )
     # The X side is Konig-Egervary; the complement has no positive difference.
-    assert independence_profile(gx).alpha + max_matching_general(gx).size == gx.n
+    assert independence_profile(gx).alpha + mate_size(max_matching_general(gx)) == gx.n
     assert max_difference_exhaustive(gxc, independent_only=True) == 0
 
 

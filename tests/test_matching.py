@@ -5,35 +5,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critind import (
-    BipartitePartition,
     Graph,
-    Matching,
     bipartite_double,
     bipartite_gnp,
-    difference,
     forced_difference,
     has_augmenting_path,
     hopcroft_karp,
-    is_independent,
     max_matching_bipartite,
     max_matching_general,
     min_vertex_cover_bipartite,
     mu_exact,
 )
-from critind import critical, matching
+from critind import matching
 from strategies import (
     bipartite_graphs,
+    certified_mu,
     graphs,
     graphs_with_pendants,
+    mate_size,
+    path,
     permuted,
     random_pendants,
     sparse_graph,
     two_choice_bipartite,
 )
-
-
-def path_graph(labels):
-    return Graph(list(labels), [(i, i + 1) for i in range(len(labels) - 1)])
 
 
 def cycle(n):
@@ -55,6 +50,22 @@ def two_triangles_bridge():
     return Graph(list("abcdef"), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
 
 
+def mate_of(n, pairs):
+    """The mate list over n vertices of the matching with these index pairs."""
+    mate = [-1] * n
+    for u, v in pairs:
+        mate[u] = v
+        mate[v] = u
+    return mate
+
+
+def without(mate, u):
+    """A copy of mate with u's matching edge taken out."""
+    smaller = list(mate)
+    smaller[u] = smaller[mate[u]] = -1
+    return smaller
+
+
 def nested_blossom():
     """From the unmatched root r under the matching ab, cd, ef, the search
     contracts the triangle bcd and then the 5-cycle r-a-(bcd)-e-f, which
@@ -65,8 +76,7 @@ def nested_blossom():
         [("r", "a"), ("a", "b"), ("b", "c"), ("c", "d"), ("b", "d"),
          ("d", "e"), ("e", "f"), ("f", "r"), ("c", "t")],
     )
-    m = Matching(g, [(g.index_of(x), g.index_of(y)) for x, y in ("ab", "cd", "ef")])
-    return g, m
+    return g, mate_of(g.n, [(g.index_of(x), g.index_of(y)) for x, y in ("ab", "cd", "ef")])
 
 
 def twin_nested_blossoms():
@@ -83,8 +93,7 @@ def twin_nested_blossoms():
          ("u", "a'"), ("a", "a'")],
     )
     pairs = [("a", "b"), ("c", "d"), ("e", "f"), ("a'", "b'"), ("c'", "d'"), ("e'", "f'")]
-    m = Matching(g, [(g.index_of(x), g.index_of(y)) for x, y in pairs])
-    return g, m
+    return g, mate_of(g.n, [(g.index_of(x), g.index_of(y)) for x, y in pairs])
 
 
 def disjoint_union_of(parts):
@@ -97,62 +106,64 @@ def disjoint_union_of(parts):
 
 
 class TestMatchingType:
-    def test_rejects_non_edge(self, g1):
-        with pytest.raises(ValueError):
-            Matching(g1, [(0, 1)])  # a-b is not an edge of G1
+    """A matching is a mate list: mate[v] is v's partner, or -1. Both entry
+    points that take one refuse a list that is not a matching of g."""
+
+    @staticmethod
+    def assert_rejected(mate, message):
+        g = path(4)
+        with pytest.raises(ValueError, match=message):
+            has_augmenting_path(g, mate)
+        with pytest.raises(ValueError, match=message):
+            min_vertex_cover_bipartite(g, [0, 2], mate)
+
+    def test_rejects_non_edge(self):
+        self.assert_rejected([3, -1, -1, 0], "not a matching edge")  # 0-3 is no edge
 
     def test_rejects_incident_edges(self):
-        g = path_graph("abc")
-        with pytest.raises(ValueError):
-            Matching(g, [(0, 1), (1, 2)])
+        # 0-1 and 1-2 share 1: the list can only say so asymmetrically.
+        self.assert_rejected([1, 2, 1, -1], "not a matching edge")
 
-    def test_saturation_queries(self):
-        g = path_graph("abcd")
-        m = Matching(g, [(1, 2)])
-        assert m.size == 1
-        assert m.saturated == {1, 2}
-        assert m.partner(1) == 2 and m.partner(0) == -1
-        assert m.is_saturated(2) and not m.is_saturated(3)
-        assert m.sorted_edges() == [(1, 2)]
+    def test_rejects_asymmetric_entry(self):
+        self.assert_rejected([1, -1, -1, -1], "not a matching edge")
+
+    @pytest.mark.parametrize("partner", [4, -2])
+    def test_rejects_out_of_range_entry(self, partner):
+        self.assert_rejected([-1, -1, -1, partner], "not a matching edge")
+
+    @pytest.mark.parametrize("mate", [[-1, -1, -1], [-1] * 5, []])
+    def test_rejects_wrong_length(self, mate):
+        self.assert_rejected(mate, "length")
 
 
 class TestBipartiteMatching:
     def test_double_of_g1(self, g1):
-        double, parts = bipartite_double(g1)
-        m = max_matching_bipartite(double, parts)
-        assert m.size == 6
+        assert mate_size(max_matching_bipartite(bipartite_double(g1), range(g1.n))) == 6
 
     def test_star(self):
         g = Graph(["c", "l1", "l2", "l3"], [(0, 1), (0, 2), (0, 3)])
-        parts = BipartitePartition(frozenset([0]), frozenset([1, 2, 3]))
-        assert max_matching_bipartite(g, parts).size == 1
+        assert max_matching_bipartite(g, [0]) == [1, 0, -1, -1]
+        assert max_matching_bipartite(g, [1, 2, 3]) == [1, 0, -1, -1]
 
     def test_edgeless(self):
         g = Graph(["a", "b", "c"], [])
-        parts = BipartitePartition(frozenset([0, 1]), frozenset([2]))
-        assert max_matching_bipartite(g, parts).size == 0
-
-    def test_invalid_partition_overlap(self, g1):
-        parts = BipartitePartition(frozenset([0, 1]), frozenset(range(1, g1.n)))
-        with pytest.raises(ValueError):
-            max_matching_bipartite(g1, parts)
-
-    def test_invalid_partition_not_covering(self):
-        g = Graph(["a", "b", "c"], [])
-        parts = BipartitePartition(frozenset([0]), frozenset([1]))
-        with pytest.raises(ValueError):
-            max_matching_bipartite(g, parts)
+        assert max_matching_bipartite(g, [0, 1]) == [-1, -1, -1]
 
     def test_invalid_partition_internal_edge(self):
-        g = path_graph("abc")
-        parts = BipartitePartition(frozenset([0, 1]), frozenset([2]))
-        with pytest.raises(ValueError):
-            max_matching_bipartite(g, parts)
+        g = path(3)
+        with pytest.raises(ValueError, match="edge inside one side"):
+            max_matching_bipartite(g, [0, 1])
 
     def test_deterministic(self):
         g = bipartite_gnp(6, 6, 0.5, seed=3)
-        parts = BipartitePartition(frozenset(range(6)), frozenset(range(6, 12)))
-        assert max_matching_bipartite(g, parts).sorted_edges() == max_matching_bipartite(g, parts).sorted_edges()
+        assert max_matching_bipartite(g, range(6)) == max_matching_bipartite(g, range(6))
+
+    def test_searches_from_the_given_side(self):
+        # A 6-cycle: Hopcroft-Karp from {0, 1, 2} and from {3, 4, 5} ends at
+        # its two different perfect matchings.
+        g = Graph([f"v{i}" for i in range(6)], [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)])
+        assert max_matching_bipartite(g, [0, 1, 2]) == [4, 5, 3, 2, 0, 1]
+        assert max_matching_bipartite(g, [3, 4, 5]) == [5, 3, 4, 1, 2, 0]
 
 
 class TestHopcroftKarpKernel:
@@ -184,62 +195,56 @@ class TestHopcroftKarpKernel:
 class TestKonigCover:
     def test_path(self):
         g = Graph(["a", "b", "c"], [(0, 1), (1, 2)])
-        parts = BipartitePartition(frozenset([0, 2]), frozenset([1]))
-        m = Matching(g, [(0, 1)])
-        assert min_vertex_cover_bipartite(g, parts, m) == {1}
+        assert min_vertex_cover_bipartite(g, [0, 2], [1, 0, -1]) == {1}
 
     def test_c4_perfect_matching(self):
         g = cycle(4)
-        parts = BipartitePartition(frozenset([0, 2]), frozenset([1, 3]))
-        m = max_matching_bipartite(g, parts)
-        cover = min_vertex_cover_bipartite(g, parts, m)
+        cover = min_vertex_cover_bipartite(g, [0, 2], max_matching_bipartite(g, [0, 2]))
         assert len(cover) == 2
 
     def test_double_of_gf(self, gf):
-        double, parts = bipartite_double(gf)
-        m = max_matching_bipartite(double, parts)
-        cover = min_vertex_cover_bipartite(double, parts, m)
-        assert m.size == 9
+        double = bipartite_double(gf)
+        mate = max_matching_bipartite(double, range(gf.n))
+        cover = min_vertex_cover_bipartite(double, range(gf.n), mate)
+        assert mate_size(mate) == 9
         assert len(cover) == 9
 
     def test_detects_non_maximum_matching(self):
         g = Graph(["a", "b", "c", "d"], [(0, 1), (2, 3)])
-        parts = BipartitePartition(frozenset([0, 2]), frozenset([1, 3]))
-        undersized = Matching(g, [(0, 1)])
         with pytest.raises(ValueError, match="not maximum"):
-            min_vertex_cover_bipartite(g, parts, undersized)
+            min_vertex_cover_bipartite(g, [0, 2], [1, 0, -1, -1])
 
 
 class TestGeneralMatching:
     def test_fixtures(self, g1, g2, gf, k3):
-        assert max_matching_general(g1).size == 3
-        assert max_matching_general(g2).size == 4
-        assert max_matching_general(gf).size == 4
-        assert max_matching_general(k3).size == 1
+        assert mate_size(max_matching_general(g1)) == 3
+        assert mate_size(max_matching_general(g2)) == 4
+        assert mate_size(max_matching_general(gf)) == 4
+        assert mate_size(max_matching_general(k3)) == 1
 
     def test_odd_cycles(self):
-        assert max_matching_general(cycle(5)).size == 2
-        assert max_matching_general(cycle(7)).size == 3
+        assert mate_size(max_matching_general(cycle(5))) == 2
+        assert mate_size(max_matching_general(cycle(7))) == 3
 
     def test_petersen(self):
-        assert max_matching_general(petersen()).size == 5
+        assert mate_size(max_matching_general(petersen())) == 5
 
     def test_two_triangles_bridge(self):
         # Blossoms on both sides of a bridge; perfect matching exists.
-        assert max_matching_general(two_triangles_bridge()).size == 3
+        assert mate_size(max_matching_general(two_triangles_bridge())) == 3
 
     def test_nested_blossom(self):
         g, m = nested_blossom()
         assert has_augmenting_path(g, m)
-        assert max_matching_general(g).size == mu_exact(g) == 4
+        assert mate_size(max_matching_general(g)) == mu_exact(g) == 4
 
     def test_twin_nested_blossoms(self):
         g, m = twin_nested_blossoms()
         assert has_augmenting_path(g, m)
-        assert max_matching_general(g).size == mu_exact(g) == 7
+        assert mate_size(max_matching_general(g)) == mu_exact(g) == 7
 
     def test_k0(self, k0):
-        assert max_matching_general(k0).size == 0
+        assert max_matching_general(k0) == []
 
 
 class TestAugmentingPath:
@@ -249,40 +254,38 @@ class TestAugmentingPath:
             assert not has_augmenting_path(g, m)
 
     def test_path_with_middle_edge(self):
-        g = path_graph("abcd")
-        m = Matching(g, [(1, 2)])
-        assert has_augmenting_path(g, m)
+        assert has_augmenting_path(path(4), [-1, 2, 1, -1])
+
+    def test_leaves_the_callers_list_unchanged(self):
+        # The search that succeeds here flips 0-1-2-3 into the list it runs on.
+        mate = [-1, 2, 1, -1]
+        assert has_augmenting_path(path(4), mate)
+        assert mate == [-1, 2, 1, -1]
 
     def test_g2_with_submaximal_matching(self, g2):
-        edges = [
-            (g2.index_of("a"), g2.index_of("e")),
-            (g2.index_of("c"), g2.index_of("f")),
-            (g2.index_of("d"), g2.index_of("g")),
-        ]
-        m = Matching(g2, edges)
-        assert has_augmenting_path(g2, m)
+        pairs = [(g2.index_of(x), g2.index_of(y)) for x, y in ("ae", "cf", "dg")]
+        assert has_augmenting_path(g2, mate_of(g2.n, pairs))
 
     def test_empty_matching_on_edgeless(self):
-        g = Graph(["a", "b"], [])
-        assert not has_augmenting_path(g, Matching(g, []))
+        assert not has_augmenting_path(Graph(["a", "b"], []), [-1, -1])
 
 
 @settings(max_examples=80)
 @given(graphs(max_n=10))
 def test_blossom_matches_oracle(g):
-    m = max_matching_general(g)
-    assert m.size == mu_exact(g)
-    assert not has_augmenting_path(g, m)
+    mate = max_matching_general(g)
+    assert mate_size(mate) == mu_exact(g)
+    assert not has_augmenting_path(g, mate)
 
 
 @settings(max_examples=60)
 @given(graphs(max_n=10))
 def test_submaximal_matching_has_augmenting_path(g):
-    m = max_matching_general(g)
-    if not m.edges:
+    mate = max_matching_general(g)
+    matched = [v for v in range(g.n) if mate[v] != -1]
+    if not matched:
         return
-    smaller = Matching(g, sorted(m.edges)[1:])
-    assert has_augmenting_path(g, smaller)
+    assert has_augmenting_path(g, without(mate, matched[0]))
 
 
 STRUCTURED = [cycle(3), cycle(5), cycle(7), petersen(), two_triangles_bridge(), nested_blossom()[0],
@@ -299,22 +302,22 @@ def test_no_state_leaks_between_searches(parts, rnd):
     # dirty by one search would corrupt a later one.
     g = disjoint_union_of(parts)
     mu = sum(mu_exact(part) for part in parts)
-    m = max_matching_general(g)
-    assert m.size == mu
-    assert not has_augmenting_path(g, m)
-    for e in m.edges:
-        assert has_augmenting_path(g, Matching(g, m.edges - {e}))
+    mate = max_matching_general(g)
+    assert mate_size(mate) == mu
+    assert not has_augmenting_path(g, mate)
+    for u in range(g.n):
+        if mate[u] > u:
+            assert has_augmenting_path(g, without(mate, u))
     # A maximal matching drawn in random edge order is often not maximum, and
     # its searches that fail run before the one that must succeed.
     edges = g.edges()
     rnd.shuffle(edges)
-    matched: set[int] = set()
-    maximal = []
+    maximal = [-1] * g.n
     for u, v in edges:
-        if u not in matched and v not in matched:
-            matched |= {u, v}
-            maximal.append((u, v))
-    assert has_augmenting_path(g, Matching(g, maximal)) == (len(maximal) < mu)
+        if maximal[u] == maximal[v] == -1:
+            maximal[u] = v
+            maximal[v] = u
+    assert has_augmenting_path(g, maximal) == (mate_size(maximal) < mu)
 
 
 @pytest.mark.parametrize(("n", "c"), [(200, 2), (500, 3), (1000, 4), (1500, 5), (1500, 2)])
@@ -324,7 +327,7 @@ def test_mu_matches_networkx_beyond_oracle_bound(n, c):
     ng = nx.Graph()
     ng.add_nodes_from(range(n))
     ng.add_edges_from(g.edges())
-    assert max_matching_general(g).size == len(nx.max_weight_matching(ng, maxcardinality=True))
+    assert mate_size(max_matching_general(g)) == len(nx.max_weight_matching(ng, maxcardinality=True))
 
 
 def networkx_mu(g):
@@ -335,40 +338,14 @@ def networkx_mu(g):
     return len(nx.max_weight_matching(ng, maxcardinality=True))
 
 
-def mate_size(mate):
-    return (len(mate) - mate.count(-1)) // 2
-
-
-def certified_mu(g, mate):
-    """The size of mate, a matching of G, when a certificate proves it
-    maximum, else None.
-
-    The certificate pins d = d(G) first. d(G) <= d: right_match is a
-    matching of B(G) of size n - d, and for any X at most |N(X)| + n - |X|
-    of its edges fit. d(G) >= d: X_min is independent with d(X_min) = d. A
-    matching of G doubles to one of B(G), so 2 mu <= n - d, and a matching
-    of size floor((n - d) / 2) is maximum.
-    """
-    s = critical._structure(g)
-    n, d = g.n, s.d
-    pairs = [(w, u) for w, u in enumerate(s.right_match) if u >= 0]
-    assert len(pairs) == len({u for _, u in pairs}) == n - d
-    assert all(w in g.adj[u] for w, u in pairs)
-    assert is_independent(g, s.x_min) and difference(g, s.x_min) == d
-    assert all(mate[v] == -1 or mate[v] in g.adj[v] and mate[mate[v]] == v for v in range(n))
-    size = mate_size(mate)
-    assert size <= (n - d) // 2
-    return size if size == (n - d) // 2 else None
-
-
 def assert_maximum(g):
     """Returns mu(G) after checking the blossom: by certificate where the
     bound floor((n - d) / 2) is reached, else against networkx."""
-    m = max_matching_general(g)
-    if certified_mu(g, [m.partner(v) for v in range(g.n)]) is None:
-        assert m.size == networkx_mu(g)
-    assert not has_augmenting_path(g, m)
-    return m.size
+    mate = max_matching_general(g)
+    if certified_mu(g, mate) is None:
+        assert mate_size(mate) == networkx_mu(g)
+    assert not has_augmenting_path(g, mate)
+    return mate_size(mate)
 
 
 def greedy_reference(adj):
@@ -387,7 +364,7 @@ def assert_peel_is_maximum(g):
     # On a forest every nonempty remainder has a leaf, so the seed never
     # falls back to a greedy pick and needs no search.
     mate, _ = matching._seed(g.adj)
-    Matching(g, ((u, w) for u, w in enumerate(mate) if w > u))  # validates it
+    matching._validate_mate(g, mate)
     assert mate.count(-1) == g.n - 2 * assert_maximum(g)
 
 
@@ -654,29 +631,29 @@ def test_two_choice_bipartite_beyond_oracle_bound(a, seed):
 @settings(max_examples=80)
 @given(graphs_with_pendants(max_n=10))
 def test_blossom_with_pendants_matches_oracle(g):
-    m = max_matching_general(g)
-    assert m.size == mu_exact(g)
-    assert not has_augmenting_path(g, m)
+    mate = max_matching_general(g)
+    assert mate_size(mate) == mu_exact(g)
+    assert not has_augmenting_path(g, mate)
 
 
 @settings(max_examples=80)
 @given(bipartite_graphs(max_side=5))
 def test_konig_on_random_bipartite(data):
     g, left, right = data
-    parts = BipartitePartition(left, right)
-    m = max_matching_bipartite(g, parts)
-    assert m.size == mu_exact(g)
-    cover = min_vertex_cover_bipartite(g, parts, m)
-    assert len(cover) == m.size
+    mate = max_matching_bipartite(g, left)
+    assert mate_size(mate) == mu_exact(g)
+    cover = min_vertex_cover_bipartite(g, left, mate)
+    assert len(cover) == mate_size(mate)
     for u, v in g.edges():
         assert u in cover or v in cover
-    # The kernel on the same graph, right side renumbered from 0.
+    # The kernel on the same graph, right side renumbered from 0, run from
+    # the left: the wrapper returns its very matching.
     nl = len(left)
     match_left, match_right = hopcroft_karp([[w - nl for w in g.adj[u]] for u in range(nl)], len(right))
     assert all(match_right[j] == u for u, j in enumerate(match_left) if j != -1)
     assert all(match_left[u] == j for j, u in enumerate(match_right) if u != -1)
     assert all(g.has_edge(u, nl + j) for u, j in enumerate(match_left) if j != -1)
-    assert sum(j != -1 for j in match_left) == m.size
+    assert mate[:nl] == [-1 if j == -1 else nl + j for j in match_left]
 
 
 def check_warm_start(adj, n_right, rnd):
