@@ -225,6 +225,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             )
         else:
             sizes = tuple(int(tok) for tok in args.union[0].split(",") if tok)
+            if not sizes:
+                raise ValueError(f"bad size list {args.union[0]!r}; expected e.g. 4,5")
             spec = GeneratorSpec(
                 "disjoint_union", parts=sizes, p=float(args.union[1]), seed=args.seed
             )

@@ -10,6 +10,7 @@ beyond the configured bound instead of approximating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .graph import Graph
 
@@ -27,11 +28,11 @@ __all__ = [
 
 DEFAULT_ORACLE_BOUND = 20
 
-# Exhaustive 2^n subset scans get a tighter bound than the branch-and-bound
-# enumerations; they exist to cross-check the reduction identity on small graphs.
-# Each scan costs one OR per mask and keeps a table of up to 2^n entries: a few
-# MB at 16, doubling with every vertex above it.
-DEFAULT_SUBSET_SCAN_BOUND = 16
+# Exhaustive 2^n subset scans cross-check the reduction identity on every graph
+# within the default oracle bound. Each scan holds about 2n + 10 planes of 2^n
+# bits: 0.4 MiB at n = 16 and about 7 MiB at n = 20, doubling with every vertex
+# above it, so a raised --oracle-bound does not raise this one.
+DEFAULT_SUBSET_SCAN_BOUND = 20
 
 
 class OracleBoundError(RuntimeError):
@@ -251,27 +252,71 @@ def mu_exact(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> int:
     return rec((1 << g.n) - 1)
 
 
+def _subset_planes(g: Graph, independent_only: bool) -> tuple[list[int], int]:
+    """Bit planes over all 2^n subsets: bit X of a plane stands for subset X.
+
+    Returns (counter, candidates). Bit X of counter[i] is bit i of
+    s(X) = |X| + n - |N(X)| = d(X) + n. candidates has bit X for every
+    independent X with `independent_only`, and for every X without it.
+    """
+    size = 1 << g.n
+    full = (1 << size) - 1
+    # member[v]: the subsets that contain v, period 2^(v+1) (2^v zeros, then
+    # 2^v ones), one period doubled up to the full width.
+    member = []
+    for v in range(g.n):
+        half = 1 << v
+        plane = ((1 << half) - 1) << half
+        width = half << 1
+        while width < size:
+            plane |= plane << width
+            width <<= 1
+        member.append(plane)
+    # touched[w]: the subsets X with w in N(X).
+    touched = []
+    for nbrs in g.adj:
+        plane = 0
+        for u in nbrs:
+            plane |= member[u]
+        touched.append(plane)
+    # Ripple-carry counter: counter[i] has weight 2^i. Each v in X adds one
+    # to s(X), and so does each w outside N(X); s(X) <= 2n, so the counter
+    # grows to at most ceil(log2(2n + 1)) planes.
+    counter: list[int] = []
+    for carry in chain(member, (full ^ plane for plane in touched)):
+        for i, plane in enumerate(counter):
+            counter[i] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            counter.append(carry)
+    if not independent_only:
+        return counter, full
+    # X holds an edge exactly when some v in X lies in N(X).
+    conflict = 0
+    for v, plane in enumerate(member):
+        conflict |= plane & touched[v]
+    return counter, full ^ conflict
+
+
 def max_difference_exhaustive(g: Graph, independent_only: bool = False) -> int:
     """Max of d(X) over all 2^n subsets (or only the independent ones).
 
-    A plain exhaustive scan, kept deliberately independent from the
-    branch-and-bound paths so the two can cross-check each other. N(X) is
-    tabulated by doubling: once vertices 0..v-1 are in, the table for the
-    masks with bit v set is the old table with adj[v] OR-ed in, so each mask
-    costs one OR. The table holds up to 2^n entries, a few MB at n = 16.
-    With `independent_only` the table keeps (mask, N(mask)) pairs for the
-    independent masks alone: a mask below 1 << v stays independent with v
-    added exactly when it misses adj[v].
+    A bit-sliced scan: `_subset_planes` evaluates s(X) = d(X) + n for every
+    subset X at once, one bit position each, and the maximum is read from the
+    top counter plane down, keeping the candidates that have the bit whenever
+    any do. It is still exhaustive: each of the 2^n subsets is counted and
+    none is pruned. It reads only the adjacency lists and shares no code with
+    the branch-and-bound searches or the polynomial path, so the three can
+    cross-check each other.
     """
     _require(g, DEFAULT_SUBSET_SCAN_BOUND, "max_difference_exhaustive")
-    adj = adjacency_masks(g)
-    if not independent_only:
-        nbrs = [0]
-        for av in adj:
-            nbrs += [nb | av for nb in nbrs]
-        return max(mask.bit_count() - nb.bit_count() for mask, nb in enumerate(nbrs))
-    pairs = [(0, 0)]
-    for v, av in enumerate(adj):
-        b = 1 << v
-        pairs += [(mask | b, nb | av) for mask, nb in pairs if not mask & av]
-    return max(mask.bit_count() - nb.bit_count() for mask, nb in pairs)
+    counter, candidates = _subset_planes(g, independent_only)
+    best = 0
+    for i in reversed(range(len(counter))):
+        kept = candidates & counter[i]
+        if kept:
+            candidates = kept
+            best |= 1 << i
+    return best - g.n

@@ -263,6 +263,13 @@ class TestGenerateCommand:
         g = parse_graph(out)
         assert g.n == 7 and g.m == 9
 
+    @pytest.mark.parametrize("sizes", [",", "", ",,"])
+    def test_union_without_sizes_exit_2(self, capsys, sizes):
+        code, out, err = run(capsys, "generate", "--union", sizes, "0.3")
+        assert code == 2
+        assert out == ""
+        assert f"error: bad size list {sizes!r}" in err
+
     def test_generate_deterministic(self, capsys):
         _, first, _ = run(capsys, "generate", "--gnp", "12", "0.4", "--seed", "9")
         _, second, _ = run(capsys, "generate", "--gnp", "12", "0.4", "--seed", "9")

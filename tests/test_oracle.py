@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from critind import (
     Graph,
     OracleBoundError,
+    critical_difference,
     critical_family,
     difference,
     gnp,
@@ -16,11 +17,16 @@ from critind import (
     max_independent_difference,
     mu_exact,
 )
-from strategies import graphs
+from critind.oracle import DEFAULT_SUBSET_SCAN_BOUND, _subset_planes
+from strategies import complete_bipartite, graphs
 
 
 def edgeless(n):
     return Graph([f"v{i}" for i in range(n)], [])
+
+
+def complete(n):
+    return Graph([f"v{i}" for i in range(n)], [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 class TestIndependenceProfile:
@@ -205,14 +211,27 @@ class TestSubsetScans:
 
     @pytest.mark.parametrize(
         "g",
-        [edgeless(0), edgeless(1), gnp(16, 0.0, 3), gnp(16, 0.5, 3)],
-        ids=["n0", "n1", "n16-p0.0", "n16-p0.5"],
+        [edgeless(0), edgeless(1), gnp(16, 0.0, 3), gnp(16, 0.5, 3), complete(16), complete_bipartite(1, 15)],
+        ids=["n0", "n1", "n16-p0.0", "n16-p0.5", "K16", "K1,15"],
     )
     def test_explicit_sizes_match_per_mask_reference(self, g):
         for independent_only in (False, True):
             assert max_difference_exhaustive(g, independent_only) == per_mask_reference(g, independent_only)
 
-    @pytest.mark.parametrize("g", [edgeless(16), gnp(16, 0.5, 3)], ids=["edgeless", "p0.5"])
+    @pytest.mark.parametrize("n", range(17, DEFAULT_SUBSET_SCAN_BOUND + 1))
+    def test_beyond_per_mask_reference_matches_oracle_and_fast_path(self, n):
+        # 2^n masks are too many for per_mask_reference here; the
+        # branch-and-bound oracle and the polynomial path judge instead.
+        for g in (gnp(n, 0.15, n), gnp(n, 0.5, n), complete_bipartite(n // 3, n - n // 3)):
+            d = max_independent_difference(g)
+            assert d == critical_difference(g)
+            assert max_difference_exhaustive(g, False) == max_difference_exhaustive(g, True) == d
+
+    @pytest.mark.parametrize(
+        "g",
+        [edgeless(DEFAULT_SUBSET_SCAN_BOUND), gnp(DEFAULT_SUBSET_SCAN_BOUND, 0.5, 3)],
+        ids=["edgeless", "p0.5"],
+    )
     def test_peak_memory_at_default_bound(self, g):
         tracemalloc.start()
         try:
@@ -221,11 +240,46 @@ class TestSubsetScans:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        # Measured 6.7 MiB for p0.5 at n = 20: about 2n + 10 planes of 2^n bits.
+        assert peak < 8 * 2**20
 
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundError):
-            max_difference_exhaustive(edgeless(17))
+            max_difference_exhaustive(edgeless(DEFAULT_SUBSET_SCAN_BOUND + 1))
+
+
+def assert_planes_read_every_subset(g):
+    """Decode the scan's planes at every bit X and compare with X itself."""
+    counter, independent = _subset_planes(g, independent_only=True)
+    adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
+    for mask in range(1 << g.n):
+        members = [v for v in range(g.n) if mask >> v & 1]
+        nbrs = 0
+        for v in members:
+            nbrs |= adj[v]
+        s = sum((plane >> mask & 1) << i for i, plane in enumerate(counter))
+        assert s == len(members) + g.n - nbrs.bit_count(), (mask, s)
+        assert bool(independent >> mask & 1) == is_independent(g, members), mask
+    assert independent >> (1 << g.n) == 0
+    assert all(plane >> (1 << g.n) == 0 for plane in counter)
+    assert _subset_planes(g, independent_only=False) == (counter, (1 << (1 << g.n)) - 1)
+
+
+class TestSubsetPlanes:
+    """The scan's planes, bit by bit: the maxima alone cannot see a broken
+    independence plane, since the max over all subsets equals the max over
+    independent ones."""
+
+    @settings(max_examples=60)
+    @given(graphs(max_n=10))
+    def test_every_subset_of_random_graphs(self, g):
+        assert_planes_read_every_subset(g)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_every_subset_of_complete_star_and_edgeless(self, n):
+        star = complete_bipartite(1, n - 1) if n else edgeless(0)
+        for g in (complete(n), star, edgeless(n)):
+            assert_planes_read_every_subset(g)
 
 
 @settings(max_examples=60)
