@@ -294,8 +294,7 @@ def _run_consistency(report: AnalysisReport, fam: CriticalFamily) -> list[Theore
     )
 
     if g.n <= oracle.DEFAULT_SUBSET_SCAN_BOUND:
-        over_all = oracle.max_difference_exhaustive(g, independent_only=False)
-        over_ind = oracle.max_difference_exhaustive(g, independent_only=True)
+        over_all, over_ind = oracle.max_difference_exhaustive(g)
         checks.append(
             TheoremCheckResult(
                 "EQ-d-subsets",

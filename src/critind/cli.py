@@ -30,11 +30,11 @@ EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BOUND_REFUSAL = 3
 
-# Largest --oracle-bound accepted. The oracle is exponential in n: on a
-# 2-vCPU Xeon VM, analyze with checks took up to 6.7 s and 97 MB at n = 28
-# (K_28 the slowest), but up to 20 s at n = 30 and 62 s at n = 32, over
-# G(n, p) with p from 0.1 to 1.
-MAX_ORACLE_BOUND = 28
+# Largest --oracle-bound accepted. The oracle is exponential in n; its worst
+# case met so far is n/2 disjoint edges, with 3^(n/2) critical sets. On a 2-vCPU
+# Xeon VM, analyze with checks took 5.4 s and 312 MB peak RSS on them at n = 22
+# but 30 s and 914 MB at n = 24; K_n and G(n, p), p in {0.1, 0.5, 0.9}, < 0.1 s.
+MAX_ORACLE_BOUND = 22
 
 
 def _non_negative_int(text: str) -> int:

@@ -5,12 +5,18 @@ maximum independent sets, the complete critical-independent-set family with
 its intersection/union summaries, and exact maximum-matching size. These are
 the correctness anchors for the polynomial-time paths; they refuse inputs
 beyond the configured bound instead of approximating.
+
+The matching search rests on the covering lemma (Lovasz and Plummer, Matching
+Theory, 1986): some maximum matching covers any vertex v with a neighbor, since
+one that misses v can trade its edge at a neighbor u for uv. So v, of least
+positive degree, is only matched to each neighbor in turn, and a node stops
+once it reaches floor(k/2), k its vertices with a neighbor: no matching can
+do better.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .graph import Graph
 
@@ -29,9 +35,9 @@ __all__ = [
 DEFAULT_ORACLE_BOUND = 20
 
 # Exhaustive 2^n subset scans cross-check the reduction identity on every graph
-# within the default oracle bound. Each scan holds about 2n + 10 planes of 2^n
-# bits: 0.4 MiB at n = 16 and about 7 MiB at n = 20, doubling with every vertex
-# above it, so a raised --oracle-bound does not raise this one.
+# within the default oracle bound. Their one build holds about n + 12 planes of
+# 2^n bits: 0.23 MiB at n = 16 and 4.0-4.3 MiB (4-8 ms) at n = 20, doubling with
+# every vertex above it, so a raised --oracle-bound does not raise this one.
 DEFAULT_SUBSET_SCAN_BOUND = 20
 
 
@@ -73,17 +79,15 @@ def _require(g: Graph, bound: int, what: str) -> None:
 
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
     """Neighbor sets as bitmasks; index i owns bit 1 << i."""
-    return tuple(sum(1 << u for u in nbrs) for nbrs in g.adj)
+    return tuple([sum(map((1).__lshift__, nbrs)) for nbrs in g.adj])
 
 
 def _mask_set(mask: int) -> frozenset[int]:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
     return frozenset(out)
 
 
@@ -215,8 +219,8 @@ def critical_family(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> CriticalFami
 
 
 def mu_exact(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> int:
-    """Exact maximum-matching size, memoized on the active vertices: the lowest
-    one with a neighbor is left unmatched or matched to each neighbor in turn."""
+    """Exact maximum-matching size by the covering-lemma search above, memoized
+    on the active vertices; the lowest index wins ties for the pivot."""
     _require(g, bound, "mu_exact")
     adj = adjacency_masks(g)
     memo: dict[int, int] = {}
@@ -225,98 +229,95 @@ def mu_exact(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> int:
         got = memo.get(active)
         if got is not None:
             return got
+        v, v_deg, k = -1, g.n, 0
         a = active
-        v = -1
         while a:
             b = a & -a
             i = b.bit_length() - 1
-            if adj[i] & active:
-                v = i
-                break
             a ^= b
-        if v < 0:
-            memo[active] = 0
-            return 0
-        vb = 1 << v
-        best = rec(active & ~vb)  # v stays unmatched
-        nb = adj[v] & active
+            deg = (adj[i] & active).bit_count()
+            if deg:
+                k += 1
+                if deg < v_deg:
+                    v, v_deg = i, deg
+        best = 0
+        nb = adj[v] & active if k else 0
         while nb:
             ub = nb & -nb
             nb ^= ub
-            cand = 1 + rec(active & ~vb & ~ub)
+            cand = 1 + rec(active ^ (1 << v) ^ ub)
             if cand > best:
                 best = cand
+                if best == k >> 1:
+                    break
         memo[active] = best
         return best
 
     return rec((1 << g.n) - 1)
 
 
-def _subset_planes(g: Graph, independent_only: bool) -> tuple[list[int], int]:
-    """Bit planes over all 2^n subsets: bit X of a plane stands for subset X.
+def _count_plane(counter: list[int], carry: int) -> None:
+    """Add a one-bit plane to a ripple-carry counter; counter[i] weighs 2^i."""
+    for i, plane in enumerate(counter):
+        counter[i] = plane ^ carry
+        carry &= plane
+        if not carry:
+            return
+    counter.append(carry)
 
-    Returns (counter, candidates). Bit X of counter[i] is bit i of
-    s(X) = |X| + n - |N(X)| = d(X) + n. candidates has bit X for every
-    independent X with `independent_only`, and for every X without it.
+
+def _subset_planes(g: Graph) -> tuple[list[int], int, int]:
+    """(counter, full, independent): bit planes over all 2^n subsets, where bit X
+    stands for subset X. Bit X of counter[i] is bit i of s(X) = |X| + n - |N(X)|
+    = d(X) + n; full has bit X for every X, independent for every independent X.
     """
     size = 1 << g.n
     full = (1 << size) - 1
     # member[v]: the subsets that contain v, period 2^(v+1) (2^v zeros, then
-    # 2^v ones), one period doubled up to the full width.
-    member = []
-    for v in range(g.n):
-        half = 1 << v
-        plane = ((1 << half) - 1) << half
-        width = half << 1
-        while width < size:
-            plane |= plane << width
-            width <<= 1
-        member.append(plane)
-    # touched[w]: the subsets X with w in N(X).
-    touched = []
-    for nbrs in g.adj:
-        plane = 0
-        for u in nbrs:
-            plane |= member[u]
-        touched.append(plane)
-    # Ripple-carry counter: counter[i] has weight 2^i. Each v in X adds one
-    # to s(X), and so does each w outside N(X); s(X) <= 2n, so the counter
-    # grows to at most ceil(log2(2n + 1)) planes.
+    # 2^v ones). Bit v of X is set exactly where adding 2^v to X carries into
+    # bit v+1, or past the top for v = n-1, so with p = member[v+1], or p = full
+    # for v = n-1, member[v] = p ^ (p >> 2^v): n shift-XORs in all.
+    member = [0] * g.n
+    plane = full
+    for v in reversed(range(g.n)):
+        plane ^= plane >> (1 << v)
+        member[v] = plane
+    # Each v in X adds one to s(X), and so does each w outside N(X); s(X) <= 2n,
+    # so the counter grows to at most ceil(log2(2n + 1)) planes.
     counter: list[int] = []
-    for carry in chain(member, (full ^ plane for plane in touched)):
-        for i, plane in enumerate(counter):
-            counter[i] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
-        else:
-            counter.append(carry)
-    if not independent_only:
-        return counter, full
-    # X holds an edge exactly when some v in X lies in N(X).
+    for plane in member:
+        _count_plane(counter, plane)
+    # touched: the subsets X with w in N(X). X holds an edge exactly when some
+    # w in X lies in N(X). Each touched plane is dropped once counted.
     conflict = 0
-    for v, plane in enumerate(member):
-        conflict |= plane & touched[v]
-    return counter, full ^ conflict
+    for w, nbrs in enumerate(g.adj):
+        touched = 0
+        for u in nbrs:
+            touched |= member[u]
+        conflict |= member[w] & touched
+        _count_plane(counter, full ^ touched)
+    return counter, full, full ^ conflict
 
 
-def max_difference_exhaustive(g: Graph, independent_only: bool = False) -> int:
-    """Max of d(X) over all 2^n subsets (or only the independent ones).
-
-    A bit-sliced scan: `_subset_planes` evaluates s(X) = d(X) + n for every
-    subset X at once, one bit position each, and the maximum is read from the
-    top counter plane down, keeping the candidates that have the bit whenever
-    any do. It is still exhaustive: each of the 2^n subsets is counted and
-    none is pruned. It reads only the adjacency lists and shares no code with
-    the branch-and-bound searches or the polynomial path, so the three can
-    cross-check each other.
-    """
-    _require(g, DEFAULT_SUBSET_SCAN_BOUND, "max_difference_exhaustive")
-    counter, candidates = _subset_planes(g, independent_only)
+def _top(counter: list[int], candidates: int) -> int:
+    """Max count at a candidate bit: keep, from the top plane down, those with it."""
     best = 0
     for i in reversed(range(len(counter))):
         kept = candidates & counter[i]
         if kept:
             candidates = kept
             best |= 1 << i
-    return best - g.n
+    return best
+
+
+def max_difference_exhaustive(g: Graph) -> tuple[int, int]:
+    """(max of d(X) over all 2^n subsets, max over the independent ones).
+
+    A bit-sliced scan that reads both maxima from one build of the planes of
+    `_subset_planes`. Each of the 2^n subsets is counted and none is pruned;
+    it reads only the adjacency lists and shares no code with the
+    branch-and-bound searches or the polynomial path, so each checks the others.
+    """
+    _require(g, DEFAULT_SUBSET_SCAN_BOUND, "max_difference_exhaustive")
+    counter, full, independent = _subset_planes(g)
+    return _top(counter, full) - g.n, _top(counter, independent) - g.n

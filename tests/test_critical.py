@@ -674,8 +674,7 @@ def test_structure_cache_frees_dropped_graphs():
 @given(graphs(max_n=10))
 def test_reduction_identity(g):
     d = critical_difference(g)
-    assert d == max_difference_exhaustive(g, independent_only=False)
-    assert d == max_difference_exhaustive(g, independent_only=True)
+    assert max_difference_exhaustive(g) == (d, d)
     assert d >= 0
 
 
@@ -722,7 +721,7 @@ def test_decomposition_properties(g):
     )
     # The X side is Konig-Egervary; the complement has no positive difference.
     assert independence_profile(gx).alpha + mate_size(max_matching_general(gx)) == gx.n
-    assert max_difference_exhaustive(gxc, independent_only=True) == 0
+    assert max_difference_exhaustive(gxc) == (0, 0)
 
 
 @settings(max_examples=60)

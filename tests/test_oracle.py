@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import pytest
@@ -9,6 +10,7 @@ from critind import (
     critical_difference,
     critical_family,
     difference,
+    disjoint_union,
     gnp,
     independence_profile,
     is_independent,
@@ -27,6 +29,23 @@ def edgeless(n):
 
 def complete(n):
     return Graph([f"v{i}" for i in range(n)], [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+# Shapes for mu_exact on 20 vertices. A node's floor(k/2) cap, k its active
+# vertices with an active neighbor, ends the search of K_19 + K_1 and 10 K_2 at
+# once; K_9,11, K_5,15 and the triangles rarely or never reach it and branch in
+# full. The last shape has 6 vertices, and no graph with fewer makes matching
+# the pivot to its first neighbor only go wrong: the pivot 2 must take 3, not 0.
+MU_SHAPES = {
+    "K19+K1": disjoint_union((19, 1), 1.0, 0),
+    "K9,11": complete_bipartite(9, 11),
+    "K5,15": complete_bipartite(5, 15),
+    "6K3+2K1": disjoint_union((3,) * 6 + (1, 1), 1.0, 0),
+    "10K2": disjoint_union((2,) * 10, 1.0, 0),
+    "first-neighbor": Graph(
+        [f"v{i}" for i in range(6)], [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 3)]
+    ),
+}
 
 
 class TestIndependenceProfile:
@@ -119,6 +138,56 @@ class TestMuExact:
         with pytest.raises(OracleBoundError):
             mu_exact(edgeless(23))
 
+    @settings(max_examples=150)
+    @given(graphs())
+    def test_matches_networkx(self, g):
+        assert mu_exact(g) == networkx_mu(g)
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.9])
+    def test_matches_networkx_on_gnp_at_20(self, p):
+        for seed in range(3):
+            g = gnp(20, p, seed)
+            assert mu_exact(g) == networkx_mu(g)
+
+    @pytest.mark.parametrize("g", list(MU_SHAPES.values()), ids=list(MU_SHAPES))
+    def test_matches_networkx_on_shapes(self, g):
+        assert mu_exact(g) == networkx_mu(g)
+
+    def test_cap_ends_the_search_of_a_clique(self):
+        # K_19 has k = 19 vertices with a neighbor: its first branch reaches
+        # floor(19/2) = 9 and stops, and so on down, one node per level. A cap
+        # of ceil(k/2) is never reached on an odd clique and searches on
+        # through about 5 * 10^4 nodes, with the same answer.
+        g = MU_SHAPES["K19+K1"]
+        calls = search_nodes(mu_exact, g)
+        assert calls <= g.n, calls
+
+
+def networkx_mu(g):
+    """Maximum-matching size by networkx, independent of the oracle and the blossom."""
+    nx = pytest.importorskip("networkx")
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges())
+    return len(nx.max_weight_matching(ng, maxcardinality=True))
+
+
+def search_nodes(fn, g):
+    """Run fn(g) and count the calls of its inner search function `rec`."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "rec":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(g)
+    finally:
+        sys.setprofile(None)
+    return calls
+
 
 def per_mask_reference(g, independent_only):
     """The scan as a per-mask loop: N(X) rebuilt bit by bit for each of the 2^n masks."""
@@ -173,8 +242,9 @@ def assert_families_complete(g):
     assert independence_profile(g).omega_family == omega
     assert fam.all_critical_independent == critical
     assert fam.maximum_critical_independent == maximum
-    # Three separate computations of d(G).
-    assert fam.d == max_independent_difference(g) == max_difference_exhaustive(g, True) == d
+    # Three separate computations of d(G); the scan's two maxima agree by the reduction.
+    assert fam.d == max_independent_difference(g) == d
+    assert max_difference_exhaustive(g) == (d, d)
 
 
 @settings(max_examples=60)
@@ -196,18 +266,18 @@ class TestSubsetScans:
     def test_matches_branch_and_bound(self):
         for seed in range(20):
             g = gnp(9, 0.35, seed)
-            assert max_difference_exhaustive(g, independent_only=True) == max_independent_difference(g)
+            assert max_difference_exhaustive(g)[1] == max_independent_difference(g)
 
     def test_max_over_all_subsets_equals_independent_only(self):
         for seed in range(20):
             g = gnp(10, 0.3, seed)
-            assert max_difference_exhaustive(g, False) == max_difference_exhaustive(g, True)
+            over_all, over_independent = max_difference_exhaustive(g)
+            assert over_all == over_independent
 
     @settings(max_examples=80)
     @given(graphs(max_n=12))
     def test_matches_per_mask_reference(self, g):
-        for independent_only in (False, True):
-            assert max_difference_exhaustive(g, independent_only) == per_mask_reference(g, independent_only)
+        assert max_difference_exhaustive(g) == (per_mask_reference(g, False), per_mask_reference(g, True))
 
     @pytest.mark.parametrize(
         "g",
@@ -215,8 +285,7 @@ class TestSubsetScans:
         ids=["n0", "n1", "n16-p0.0", "n16-p0.5", "K16", "K1,15"],
     )
     def test_explicit_sizes_match_per_mask_reference(self, g):
-        for independent_only in (False, True):
-            assert max_difference_exhaustive(g, independent_only) == per_mask_reference(g, independent_only)
+        assert max_difference_exhaustive(g) == (per_mask_reference(g, False), per_mask_reference(g, True))
 
     @pytest.mark.parametrize("n", range(17, DEFAULT_SUBSET_SCAN_BOUND + 1))
     def test_beyond_per_mask_reference_matches_oracle_and_fast_path(self, n):
@@ -225,7 +294,7 @@ class TestSubsetScans:
         for g in (gnp(n, 0.15, n), gnp(n, 0.5, n), complete_bipartite(n // 3, n - n // 3)):
             d = max_independent_difference(g)
             assert d == critical_difference(g)
-            assert max_difference_exhaustive(g, False) == max_difference_exhaustive(g, True) == d
+            assert max_difference_exhaustive(g) == (d, d)
 
     @pytest.mark.parametrize(
         "g",
@@ -235,13 +304,13 @@ class TestSubsetScans:
     def test_peak_memory_at_default_bound(self, g):
         tracemalloc.start()
         try:
-            max_difference_exhaustive(g, False)
-            max_difference_exhaustive(g, True)
+            max_difference_exhaustive(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Measured 6.7 MiB for p0.5 at n = 20: about 2n + 10 planes of 2^n bits.
-        assert peak < 8 * 2**20
+        # One build of the planes, measured 4.0-4.3 MiB at n = 20: the n member
+        # planes, the counter and a few working planes of 2^n bits each.
+        assert peak < 5 * 2**20
 
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundError):
@@ -250,7 +319,8 @@ class TestSubsetScans:
 
 def assert_planes_read_every_subset(g):
     """Decode the scan's planes at every bit X and compare with X itself."""
-    counter, independent = _subset_planes(g, independent_only=True)
+    counter, full, independent = _subset_planes(g)
+    assert full == (1 << (1 << g.n)) - 1
     adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
     for mask in range(1 << g.n):
         members = [v for v in range(g.n) if mask >> v & 1]
@@ -262,7 +332,6 @@ def assert_planes_read_every_subset(g):
         assert bool(independent >> mask & 1) == is_independent(g, members), mask
     assert independent >> (1 << g.n) == 0
     assert all(plane >> (1 << g.n) == 0 for plane in counter)
-    assert _subset_planes(g, independent_only=False) == (counter, (1 << (1 << g.n)) - 1)
 
 
 class TestSubsetPlanes:
