@@ -8,13 +8,11 @@ from .analysis import (
 )
 from .critical import (
     Decomposition,
-    bipartite_double,
     critical_difference,
     decompose,
     diadem,
     extends_to_critical_independent,
     find_critical_independent_set,
-    forced_difference,
     matching_number,
     max_critical_independent_set,
 )
@@ -38,14 +36,11 @@ from .graph import (
 )
 from .matching import (
     blossom,
-    has_augmenting_path,
     hopcroft_karp,
-    max_matching_bipartite,
-    max_matching_general,
-    min_vertex_cover_bipartite,
 )
 from .oracle import (
     DEFAULT_ORACLE_BOUND,
+    MAX_ORACLE_BOUND,
     CriticalFamily,
     IndependenceProfile,
     OracleBoundError,

@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 from . import critical, matching, oracle
 from .graph import Graph, difference, induced_subgraph, is_independent, label_set, neighborhood
-from .oracle import DEFAULT_ORACLE_BOUND, CriticalFamily, IndependenceProfile
+from .oracle import DEFAULT_ORACLE_BOUND, MAX_ORACLE_BOUND, CriticalFamily, IndependenceProfile
 
 __all__ = [
     "KEVerdicts",
@@ -85,7 +85,6 @@ def _run_checks(
 ) -> list[TheoremCheckResult]:
     checks: list[TheoremCheckResult] = []
     g = report.graph
-    bound = report.oracle_bound
     verdicts = report.verdicts
     assert verdicts is not None
     alpha = prof.alpha
@@ -94,9 +93,9 @@ def _run_checks(
 
     gx, back_x = induced_subgraph(g, x)
     gxc, _ = induced_subgraph(g, xc)
-    prof_x = oracle.independence_profile(gx, bound)
-    fam_x = oracle.critical_family(gx, bound)
-    prof_xc = oracle.independence_profile(gxc, bound)
+    prof_x = oracle.independence_profile(gx)
+    fam_x = oracle.critical_family(gx)
+    prof_xc = oracle.independence_profile(gxc)
     mu_x = (gx.n - matching.blossom(gx.adj)[0].count(-1)) // 2
 
     def lift(s: frozenset[int]) -> frozenset[int]:
@@ -118,7 +117,7 @@ def _run_checks(
     # T2: the four decomposition properties of X.
     t2_i = alpha == prof_x.alpha + prof_xc.alpha
     t2_ii = prof_x.alpha + mu_x == gx.n
-    t2_iii = oracle.max_independent_difference(gxc, bound) == 0
+    t2_iii = oracle.max_independent_difference(gxc) == 0
     t2_iv = all((s | neighborhood(g, s)) == x for s in fam.maximum_critical_independent)
     checks.append(
         TheoremCheckResult(
@@ -293,7 +292,7 @@ def _run_consistency(report: AnalysisReport, fam: CriticalFamily) -> list[Theore
         )
     )
 
-    if g.n <= oracle.DEFAULT_SUBSET_SCAN_BOUND:
+    if g.n <= oracle.MAX_SUBSET_SCAN_BOUND:
         over_all, over_ind = oracle.max_difference_exhaustive(g)
         checks.append(
             TheoremCheckResult(
@@ -344,7 +343,7 @@ def _run_consistency(report: AnalysisReport, fam: CriticalFamily) -> list[Theore
         )
     )
 
-    mu_oracle = oracle.mu_exact(g, report.oracle_bound)
+    mu_oracle = oracle.mu_exact(g)
     checks.append(
         TheoremCheckResult(
             "EQ-mu",
@@ -469,8 +468,12 @@ def analyze(
 
     Beyond the oracle bound only the polynomial fields are filled and the
     oracle-backed ones are marked skipped, unless require_oracle is set, in
-    which case analyze raises OracleBoundError before doing any work.
+    which case analyze raises OracleBoundError before doing any work. An
+    oracle_bound above MAX_ORACLE_BOUND raises ValueError, also before any
+    work.
     """
+    if oracle_bound > MAX_ORACLE_BOUND:
+        raise ValueError(f"oracle_bound must be at most {MAX_ORACLE_BOUND}, got {oracle_bound}")
     use_oracle = g.n <= oracle_bound
     if require_oracle and not use_oracle:
         raise oracle.OracleBoundError(g.n, oracle_bound, "analyze")
@@ -497,8 +500,8 @@ def analyze(
         return report
 
     t1 = time.perf_counter()
-    prof = oracle.independence_profile(g, oracle_bound)
-    fam = oracle.critical_family(g, oracle_bound)
+    prof = oracle.independence_profile(g)
+    fam = oracle.critical_family(g)
     report.alpha = prof.alpha
     report.core = prof.core
     report.corona = prof.corona

@@ -17,9 +17,10 @@ Each proof sits at the function that relies on it:
 - _CriticalStructure.extends: a plain closure walk that relies on none of
   these, the scans' judge in the tests beyond the exhaustive oracle's bound.
 
-bipartite_double, the Graph of B(G), and forced_difference, one
-Hopcroft-Karp over index lists of a part of B(G), are independent
-cross-checks; no production answer goes through them.
+bipartite_double, the Graph of B(G), is an independent cross-check that no
+production answer goes through. It stays here, outside __all__, only because
+the benchmark's spans wrap it by this name; the other cross-checks live with
+the tests, in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ from .matching import max_matching_bipartite, min_vertex_cover_bipartite
 
 __all__ = [
     "Decomposition",
-    "bipartite_double",
     "critical_difference",
     "matching_number",
     "find_critical_independent_set",
-    "forced_difference",
     "extends_to_critical_independent",
     "max_critical_independent_set",
     "diadem",
@@ -320,25 +319,6 @@ def find_critical_independent_set(g: Graph) -> frozenset[int]:
     critical set, so in X_min - N(X_min): X_min is independent and is ker(G).
     """
     return _structure(g).x_min
-
-
-def forced_difference(g: Graph, force_in: Iterable[int] = (), force_out: Iterable[int] = ()) -> int:
-    """max { d(X) : force_in subset of X, X disjoint from force_out }.
-
-    Realized on the double: forced-in vertices saturate their mirrored
-    neighborhood for free, forced-out vertices leave the selectable side but
-    stay present as mirrors, and the rest is a maximum matching, of the kept
-    originals into the mirrors outside N(force_in).
-    """
-    force_in = check_vertex_set(g, force_in)
-    force_out = check_vertex_set(g, force_out)
-    if force_in & force_out:
-        raise ValueError("force_in and force_out overlap")
-    nf = neighborhood(g, force_in)
-    kept = [u for u in range(g.n) if u not in force_in and u not in force_out]
-    left_match, _ = hopcroft_karp([[w for w in g.adj[u] if w not in nf] for u in kept], g.n)
-    mu = len(kept) - left_match.count(-1)
-    return g.n - len(force_out) - len(nf) - mu
 
 
 def extends_to_critical_independent(g: Graph, members: Iterable[int]) -> bool:

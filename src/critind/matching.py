@@ -11,12 +11,14 @@ function that relies on it:
   fewer than two of its vertices wait, gives a maximum matching.
 - _augmenter: one search works only on the vertices its tree touches.
 
-max_matching_bipartite, min_vertex_cover_bipartite, max_matching_general
-and has_augmenting_path wrap the kernels for a Graph; they are cross-checks,
-and no production answer goes through them. Every matching, taken or
-returned, is a mate list: mate[v] is v's partner, or -1 when v is
-unmatched. Returned matchings are deterministic (vertices are scanned in
-index order) but not canonical.
+max_matching_bipartite, min_vertex_cover_bipartite and max_matching_general
+wrap the kernels for a Graph; they are cross-checks, and no production
+answer goes through them. They stay here, outside __all__, only because the
+benchmark's spans wrap them by these names; the augmenting-path test lives
+with the tests, in tests/reference.py. Every matching, taken or returned, is
+a mate list: mate[v] is v's partner, or -1 when v is unmatched. Returned
+matchings are deterministic (vertices are scanned in index order) but not
+canonical.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ from .graph import Graph, check_vertex_set
 __all__ = [
     "hopcroft_karp",
     "blossom",
-    "max_matching_bipartite",
-    "min_vertex_cover_bipartite",
-    "max_matching_general",
-    "has_augmenting_path",
 ]
 
 
@@ -422,12 +420,3 @@ def blossom(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
 def max_matching_general(g: Graph) -> list[int]:
     """Maximum matching in an arbitrary simple graph (handles odd cycles)."""
     return blossom(g.adj)[0]
-
-
-def has_augmenting_path(g: Graph, mate: Sequence[int]) -> bool:
-    """True iff an augmenting path for mate exists (false exactly at
-    maximum). The search runs on a copy, as _augmenter writes into its list."""
-    _validate_mate(g, mate)
-    match = list(mate)
-    augment = _augmenter(g.adj, match)
-    return any(augment(v) != -1 for v in range(g.n) if match[v] == -1)

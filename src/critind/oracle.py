@@ -4,7 +4,8 @@ Everything here enumerates: independence number with the complete family of
 maximum independent sets, the complete critical-independent-set family with
 its intersection/union summaries, and exact maximum-matching size. These are
 the correctness anchors for the polynomial-time paths; they refuse inputs
-beyond the configured bound instead of approximating.
+beyond MAX_ORACLE_BOUND vertices instead of approximating, whatever bound
+their caller chose.
 
 The matching search rests on the covering lemma (Lovasz and Plummer, Matching
 Theory, 1986): some maximum matching covers any vertex v with a neighbor, since
@@ -22,6 +23,7 @@ from .graph import Graph
 
 __all__ = [
     "DEFAULT_ORACLE_BOUND",
+    "MAX_ORACLE_BOUND",
     "OracleBoundError",
     "IndependenceProfile",
     "CriticalFamily",
@@ -34,11 +36,18 @@ __all__ = [
 
 DEFAULT_ORACLE_BOUND = 20
 
+# The searches refuse above this, and analyze and --oracle-bound take no larger
+# bound. They are exponential in n; their worst case met so far is n/2 disjoint
+# edges, with 3^(n/2) critical sets. On a 2-vCPU Xeon VM, analyze with checks
+# took 5.4 s and 312 MB peak RSS on them at n = 22 but 30 s and 914 MB at
+# n = 24; K_n and G(n, p), p in {0.1, 0.5, 0.9}, < 0.1 s.
+MAX_ORACLE_BOUND = 22
+
 # Exhaustive 2^n subset scans cross-check the reduction identity on every graph
 # within the default oracle bound. Their one build holds about n + 12 planes of
 # 2^n bits: 0.23 MiB at n = 16 and 4.0-4.3 MiB (4-8 ms) at n = 20, doubling with
 # every vertex above it, so a raised --oracle-bound does not raise this one.
-DEFAULT_SUBSET_SCAN_BOUND = 20
+MAX_SUBSET_SCAN_BOUND = 20
 
 
 class OracleBoundError(RuntimeError):
@@ -97,7 +106,7 @@ def _sorted_family(masks: list[int]) -> tuple[frozenset[int], ...]:
     return tuple(sets)
 
 
-def independence_profile(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> IndependenceProfile:
+def independence_profile(g: Graph) -> IndependenceProfile:
     """Exact alpha with complete Omega(G), core, and corona.
 
     Branch and bound over a max-degree pivot; a vertex with no undecided
@@ -105,7 +114,7 @@ def independence_profile(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> Indepen
     One walk forces these in and picks the pivot (lowest index on ties), since
     forcing such a vertex changes no other degree among the undecided ones.
     """
-    _require(g, bound, "independence_profile")
+    _require(g, MAX_ORACLE_BOUND, "independence_profile")
     adj = adjacency_masks(g)
 
     best = -1
@@ -148,9 +157,9 @@ def independence_profile(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> Indepen
     return IndependenceProfile(best, family, core, corona)
 
 
-def max_independent_difference(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> int:
+def max_independent_difference(g: Graph) -> int:
     """Max of d(S) over independent S; its own search cross-checks critical_family."""
-    _require(g, bound, "max_independent_difference")
+    _require(g, MAX_ORACLE_BOUND, "max_independent_difference")
     adj = adjacency_masks(g)
     best = 0  # d(empty set) = 0
 
@@ -173,7 +182,7 @@ def max_independent_difference(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> i
     return best
 
 
-def critical_family(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> CriticalFamily:
+def critical_family(g: Graph) -> CriticalFamily:
     """Enumerate every independent S with d(S) = d(G), plus ker/nucleus/diadem.
 
     The same search finds d(G): a running best prunes branches that cannot
@@ -183,7 +192,7 @@ def critical_family(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> CriticalFami
     when d(G) = 0, which then forces ker to be empty). nucleus and diadem
     intersect/union only the maximum-cardinality members.
     """
-    _require(g, bound, "critical_family")
+    _require(g, MAX_ORACLE_BOUND, "critical_family")
     adj = adjacency_masks(g)
 
     best = 0  # d(empty set) = 0
@@ -218,10 +227,10 @@ def critical_family(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> CriticalFami
     return CriticalFamily(best, family, maximum, ker, nucleus, diadem)
 
 
-def mu_exact(g: Graph, bound: int = DEFAULT_ORACLE_BOUND) -> int:
+def mu_exact(g: Graph) -> int:
     """Exact maximum-matching size by the covering-lemma search above, memoized
     on the active vertices; the lowest index wins ties for the pivot."""
-    _require(g, bound, "mu_exact")
+    _require(g, MAX_ORACLE_BOUND, "mu_exact")
     adj = adjacency_masks(g)
     memo: dict[int, int] = {}
 
@@ -318,6 +327,6 @@ def max_difference_exhaustive(g: Graph) -> tuple[int, int]:
     it reads only the adjacency lists and shares no code with the
     branch-and-bound searches or the polynomial path, so each checks the others.
     """
-    _require(g, DEFAULT_SUBSET_SCAN_BOUND, "max_difference_exhaustive")
+    _require(g, MAX_SUBSET_SCAN_BOUND, "max_difference_exhaustive")
     counter, full, independent = _subset_planes(g)
     return _top(counter, full) - g.n, _top(counter, independent) - g.n

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critind import (
+    MAX_ORACLE_BOUND,
     AnalysisReport,
     Decomposition,
     Graph,
@@ -152,6 +153,12 @@ class TestAnalyze:
             analyze(g, require_oracle=True)
         assert g not in critical._structures
 
+    def test_oracle_bound_above_cap_refused_before_any_work(self):
+        g = gnp(8, 0.5, seed=7)
+        with pytest.raises(ValueError, match=f"at most {MAX_ORACLE_BOUND}"):
+            analyze(g, oracle_bound=MAX_ORACLE_BOUND + 1)
+        assert g not in critical._structures
+
     def test_json_shape_full(self, g1):
         doc = analyze(g1).to_json_dict()
         json.dumps(doc)  # must be serializable
@@ -237,11 +244,9 @@ def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("production path reached a cross-check")
 
-    for name in (
-        "bipartite_double", "forced_difference", "max_matching_bipartite", "min_vertex_cover_bipartite"
-    ):
+    for name in ("bipartite_double", "max_matching_bipartite", "min_vertex_cover_bipartite"):
         monkeypatch.setattr(critical, name, refuse)
-    for name in ("max_matching_general", "max_matching_bipartite", "has_augmenting_path"):
+    for name in ("max_matching_general", "max_matching_bipartite"):
         monkeypatch.setattr(matching, name, refuse)
     monkeypatch.setattr(analysis, "Graph", refuse)
     calls = []

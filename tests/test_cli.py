@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critind import DEFAULT_ORACLE_BOUND, gnp, parse_graph, to_edge_list
-from critind.cli import MAX_ORACLE_BOUND, main
+from critind import DEFAULT_ORACLE_BOUND, MAX_ORACLE_BOUND, gnp, parse_graph, to_edge_list
+from critind.cli import main
 from critind.graph import MAX_DIMACS_VERTICES
 from strategies import dimacs_text, graphs
 
@@ -108,8 +108,8 @@ class TestAnalyzeCommand:
         assert f"--oracle-bound: must be at most {MAX_ORACLE_BOUND}" in capsys.readouterr().err
 
     def test_oracle_bound_above_default_runs_every_check(self, capsys, tmp_path):
-        # Every oracle call, EQ-mu's exact matching included, must run under
-        # the bound given, not the default one.
+        # A bound above the default lets every oracle call, EQ-mu's exact
+        # matching included, run on a graph above the default.
         path = tmp_path / "g21.txt"
         path.write_text(to_edge_list(gnp(DEFAULT_ORACLE_BOUND + 1, 0.5, seed=1)))
         bound = str(DEFAULT_ORACLE_BOUND + 2)

@@ -9,7 +9,6 @@ from critind import (
     analyze,
     GeneratorSpec,
     Graph,
-    bipartite_double,
     critical_difference,
     critical_family,
     decompose,
@@ -17,7 +16,6 @@ from critind import (
     difference,
     extends_to_critical_independent,
     find_critical_independent_set,
-    forced_difference,
     generate,
     gnp,
     hopcroft_karp,
@@ -27,13 +25,13 @@ from critind import (
     label_set,
     max_critical_independent_set,
     max_difference_exhaustive,
-    max_matching_bipartite,
-    max_matching_general,
-    min_vertex_cover_bipartite,
     mu_exact,
     neighborhood,
 )
 from critind import critical
+from critind.critical import bipartite_double
+from critind.matching import max_matching_bipartite, max_matching_general, min_vertex_cover_bipartite
+from reference import forced_difference
 from strategies import (
     certified_mu,
     complete_bipartite,

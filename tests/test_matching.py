@@ -6,17 +6,14 @@ from hypothesis import strategies as st
 
 from critind import (
     Graph,
-    bipartite_double,
     bipartite_gnp,
-    forced_difference,
-    has_augmenting_path,
     hopcroft_karp,
-    max_matching_bipartite,
-    max_matching_general,
-    min_vertex_cover_bipartite,
     mu_exact,
 )
 from critind import matching
+from critind.critical import bipartite_double
+from critind.matching import max_matching_bipartite, max_matching_general, min_vertex_cover_bipartite
+from reference import forced_difference, has_augmenting_path
 from strategies import (
     bipartite_graphs,
     certified_mu,

@@ -1,3 +1,4 @@
+import inspect
 import sys
 import tracemalloc
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from critind import (
+    MAX_ORACLE_BOUND,
     Graph,
     OracleBoundError,
     critical_difference,
@@ -19,7 +21,7 @@ from critind import (
     max_independent_difference,
     mu_exact,
 )
-from critind.oracle import DEFAULT_SUBSET_SCAN_BOUND, _subset_planes
+from critind.oracle import MAX_SUBSET_SCAN_BOUND, _subset_planes
 from strategies import complete_bipartite, graphs
 
 
@@ -83,7 +85,7 @@ class TestIndependenceProfile:
 
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundError):
-            independence_profile(edgeless(21))
+            independence_profile(edgeless(MAX_ORACLE_BOUND + 1))
 
 
 class TestCriticalFamily:
@@ -122,7 +124,28 @@ class TestCriticalFamily:
 
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundError):
-            critical_family(edgeless(25))
+            critical_family(edgeless(MAX_ORACLE_BOUND + 3))
+
+
+SEARCHES = [independence_profile, max_independent_difference, critical_family, mu_exact]
+
+
+@pytest.mark.parametrize("search", SEARCHES, ids=lambda f: f.__name__)
+class TestOracleCap:
+    """The searches share one cap, checked inside each: they run on every
+    graph up to MAX_ORACLE_BOUND vertices and refuse every larger one,
+    whatever bound the caller chose."""
+
+    def test_runs_at_the_cap(self, search):
+        search(edgeless(MAX_ORACLE_BOUND))
+
+    def test_refuses_above_the_cap(self, search):
+        with pytest.raises(OracleBoundError) as exc:
+            search(edgeless(MAX_ORACLE_BOUND + 1))
+        assert (exc.value.n, exc.value.bound) == (MAX_ORACLE_BOUND + 1, MAX_ORACLE_BOUND)
+
+    def test_takes_the_graph_only(self, search):
+        assert list(inspect.signature(search).parameters) == ["g"]
 
 
 class TestMuExact:
@@ -136,7 +159,7 @@ class TestMuExact:
 
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundError):
-            mu_exact(edgeless(23))
+            mu_exact(edgeless(MAX_ORACLE_BOUND + 1))
 
     @settings(max_examples=150)
     @given(graphs())
@@ -287,7 +310,7 @@ class TestSubsetScans:
     def test_explicit_sizes_match_per_mask_reference(self, g):
         assert max_difference_exhaustive(g) == (per_mask_reference(g, False), per_mask_reference(g, True))
 
-    @pytest.mark.parametrize("n", range(17, DEFAULT_SUBSET_SCAN_BOUND + 1))
+    @pytest.mark.parametrize("n", range(17, MAX_SUBSET_SCAN_BOUND + 1))
     def test_beyond_per_mask_reference_matches_oracle_and_fast_path(self, n):
         # 2^n masks are too many for per_mask_reference here; the
         # branch-and-bound oracle and the polynomial path judge instead.
@@ -298,7 +321,7 @@ class TestSubsetScans:
 
     @pytest.mark.parametrize(
         "g",
-        [edgeless(DEFAULT_SUBSET_SCAN_BOUND), gnp(DEFAULT_SUBSET_SCAN_BOUND, 0.5, 3)],
+        [edgeless(MAX_SUBSET_SCAN_BOUND), gnp(MAX_SUBSET_SCAN_BOUND, 0.5, 3)],
         ids=["edgeless", "p0.5"],
     )
     def test_peak_memory_at_default_bound(self, g):
@@ -314,7 +337,7 @@ class TestSubsetScans:
 
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundError):
-            max_difference_exhaustive(edgeless(DEFAULT_SUBSET_SCAN_BOUND + 1))
+            max_difference_exhaustive(edgeless(MAX_SUBSET_SCAN_BOUND + 1))
 
 
 def assert_planes_read_every_subset(g):

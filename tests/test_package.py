@@ -39,3 +39,18 @@ def test_every_package_import_is_a_module_export():
     assert imported
     stale = [name for name in imported if not name.startswith("_") and name not in exported]
     assert stale == []
+
+
+CROSS_CHECKS = (
+    "bipartite_double",
+    "forced_difference",
+    "has_augmenting_path",
+    "max_matching_bipartite",
+    "max_matching_general",
+    "min_vertex_cover_bipartite",
+)
+
+
+def test_cross_checks_are_not_exported():
+    exported = {name for module in modules_with_all() for name in module.__all__}
+    assert [name for name in CROSS_CHECKS if hasattr(critind, name) or name in exported] == []
