@@ -4,8 +4,9 @@ analyze is the one entry point. It computes each polynomial answer once
 (d, mu, I, X and the diadem, from the cached critical structure), then,
 within the oracle bound, the oracle's profile and critical family, the
 four Konig-Egervary verdicts, and the theorem and consistency checks. The
-checks read those answers from the report rather than recomputing them, and
-run the matching kernels on index lists: hopcroft_karp for the L4 witness
+checks read those answers from the report rather than recomputing them, run
+the oracle again only on a G[X] or G[Xc] that is not G itself, and run the
+matching kernels on index lists: hopcroft_karp for the L4 witness
 and blossom for mu(G[X]). The verdict is rendered four provably equivalent
 ways; a disagreement anywhere is an implementation bug and is surfaced as a
 failed report, never swallowed. Beyond the oracle bound the oracle-backed
@@ -80,8 +81,21 @@ class TheoremCheckResult:
         return asdict(self)
 
 
+def _nbr_mask(adj: tuple[int, ...], s: int) -> int:
+    """N(S) as a mask, for S a mask over the adjacency masks adj."""
+    out = 0
+    while s:
+        b = s & -s
+        out |= adj[b.bit_length() - 1]
+        s ^= b
+    return out
+
+
 def _run_checks(
-    report: AnalysisReport, prof: IndependenceProfile, fam: CriticalFamily
+    report: AnalysisReport,
+    prof: IndependenceProfile,
+    fam: CriticalFamily,
+    adj: tuple[int, ...],
 ) -> list[TheoremCheckResult]:
     checks: list[TheoremCheckResult] = []
     g = report.graph
@@ -91,11 +105,19 @@ def _run_checks(
     ke = verdicts.is_ke
     x, xc = report.decomposition.X, report.decomposition.Xc
 
-    gx, back_x = induced_subgraph(g, x)
-    gxc, _ = induced_subgraph(g, xc)
-    prof_x = oracle.independence_profile(gx)
-    fam_x = oracle.critical_family(gx)
-    prof_xc = oracle.independence_profile(gxc)
+    # G[V] is G: same labels, index order and adjacency, so the deterministic
+    # oracle's answers there are the ones already computed for G.
+    if len(x) == g.n:
+        gx, back_x, prof_x, fam_x = g, range(g.n), prof, fam
+    else:
+        gx, back_x = induced_subgraph(g, x)
+        prof_x = oracle.independence_profile(gx)
+        fam_x = oracle.critical_family(gx)
+    if len(xc) == g.n:
+        gxc, prof_xc = g, prof
+    else:
+        gxc, _ = induced_subgraph(g, xc)
+        prof_xc = oracle.independence_profile(gxc)
     mu_x = (gx.n - matching.blossom(gx.adj)[0].count(-1)) // 2
 
     def lift(s: frozenset[int]) -> frozenset[int]:
@@ -118,7 +140,8 @@ def _run_checks(
     t2_i = alpha == prof_x.alpha + prof_xc.alpha
     t2_ii = prof_x.alpha + mu_x == gx.n
     t2_iii = oracle.max_independent_difference(gxc) == 0
-    t2_iv = all((s | neighborhood(g, s)) == x for s in fam.maximum_critical_independent)
+    x_mask = sum(1 << v for v in x)
+    t2_iv = all((s | _nbr_mask(adj, s)) == x_mask for s in fam.maximum_critical_independent)
     checks.append(
         TheoremCheckResult(
             "T2",
@@ -133,11 +156,10 @@ def _run_checks(
         )
     )
 
-    # T3: each critical independent set lies in some maximum one.
-    t3 = all(
-        any(s <= t for t in fam.maximum_critical_independent)
-        for s in fam.all_critical_independent
-    )
+    # T3: each critical independent set lies in some maximum one, that is, the
+    # plane of critical sets lies inside the down-closure of the maximum ones.
+    below_maximum = oracle.down_closure(oracle.subset_plane(g.n, fam.maximum_critical_independent))
+    t3 = oracle.subset_plane(g.n, fam.all_critical_independent) & ~below_maximum == 0
     checks.append(
         TheoremCheckResult(
             "T3", t3, detail={"critical_sets": len(fam.all_critical_independent)}
@@ -309,7 +331,7 @@ def _run_consistency(report: AnalysisReport, fam: CriticalFamily) -> list[Theore
         )
 
     i_fast = report.decomposition.I
-    oracle_max = max((len(s) for s in fam.maximum_critical_independent), default=0)
+    oracle_max = max(map(int.bit_count, fam.maximum_critical_independent), default=0)
     checks.append(
         TheoremCheckResult(
             "EQ-mcis-size",
@@ -500,6 +522,7 @@ def analyze(
         return report
 
     t1 = time.perf_counter()
+    adj = oracle.adjacency_masks(g)
     prof = oracle.independence_profile(g)
     fam = oracle.critical_family(g)
     report.alpha = prof.alpha
@@ -509,7 +532,9 @@ def analyze(
     report.nucleus = fam.nucleus
     report.verdicts = KEVerdicts(
         by_definition=prof.alpha + mu == g.n,
-        by_all_mis_critical=all(difference(g, s) == fam.d for s in prof.omega_family),
+        by_all_mis_critical=all(
+            s.bit_count() - _nbr_mask(adj, s).bit_count() == fam.d for s in prof.omega_family
+        ),
         by_diadem_corona=fam.diadem == prof.corona,
         by_counting=len(fam.diadem) + len(fam.nucleus) == 2 * prof.alpha,
     )
@@ -517,7 +542,7 @@ def analyze(
 
     if include_checks:
         t2 = time.perf_counter()
-        report.checks = _run_checks(report, prof, fam)
+        report.checks = _run_checks(report, prof, fam, adj)
         report.consistency = _run_consistency(report, fam)
         timings["checks"] = time.perf_counter() - t2
     return report

@@ -18,6 +18,9 @@ do better.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
+from typing import Iterable, Iterator
 
 from .graph import Graph
 
@@ -38,10 +41,12 @@ DEFAULT_ORACLE_BOUND = 20
 
 # The searches refuse above this, and analyze and --oracle-bound take no larger
 # bound. They are exponential in n; their worst case met so far is n/2 disjoint
-# edges, with 3^(n/2) critical sets. On a 2-vCPU Xeon VM, analyze with checks
-# took 5.4 s and 312 MB peak RSS on them at n = 22 but 30 s and 914 MB at
-# n = 24; K_n and G(n, p), p in {0.1, 0.5, 0.9}, < 0.1 s.
-MAX_ORACLE_BOUND = 22
+# edges, with 3^(n/2) critical sets, each kept as one int. On a 2-vCPU Xeon VM,
+# analyze with checks took 0.14 s and 26 MB peak RSS on them at n = 22, 1.8-2.5 s
+# and 130 MB at n = 26, and 5.8-8.6 s and 408 MB at n = 28, the largest n swept
+# that stays within 10 s and 1 GB. At n = 28, disjoint triangles and C5s, K_n,
+# K_{a,b} and G(n, p), p in {0.1, 0.5, 0.9}, took at most 3.8 s and 217 MB.
+MAX_ORACLE_BOUND = 28
 
 # Exhaustive 2^n subset scans cross-check the reduction identity on every graph
 # within the default oracle bound. Their one build holds about n + 12 planes of
@@ -61,21 +66,32 @@ class OracleBoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class IndependenceProfile:
-    """alpha, every maximum independent set, and their intersection/union."""
+    """alpha, every maximum independent set, and their intersection/union.
+
+    omega_family holds each maximum independent set as an int mask, bit i for
+    vertex index i, in the order the search finds them: the pivot's include
+    branch before its exclude branch. Only core and corona are vertex sets.
+    """
 
     alpha: int
-    omega_family: tuple[frozenset[int], ...]
+    omega_family: tuple[int, ...]
     core: frozenset[int]
     corona: frozenset[int]
 
 
 @dataclass(frozen=True)
 class CriticalFamily:
-    """The complete family of critical independent sets of a graph."""
+    """The complete family of critical independent sets of a graph.
+
+    Each set is an int mask, bit i for vertex index i, in the order the search
+    reaches its leaves: the lowest undecided index is taken before it is
+    skipped. maximum_critical_independent keeps that order. Only ker, nucleus
+    and diadem are vertex sets.
+    """
 
     d: int
-    all_critical_independent: tuple[frozenset[int], ...]
-    maximum_critical_independent: tuple[frozenset[int], ...]
+    all_critical_independent: tuple[int, ...]
+    maximum_critical_independent: tuple[int, ...]
     ker: frozenset[int]
     nucleus: frozenset[int]
     diadem: frozenset[int]
@@ -98,12 +114,6 @@ def _mask_set(mask: int) -> frozenset[int]:
         out.append(b.bit_length() - 1)
         mask ^= b
     return frozenset(out)
-
-
-def _sorted_family(masks: list[int]) -> tuple[frozenset[int], ...]:
-    sets = [_mask_set(m) for m in masks]
-    sets.sort(key=lambda s: (len(s), sorted(s)))
-    return tuple(sets)
 
 
 def independence_profile(g: Graph) -> IndependenceProfile:
@@ -151,10 +161,10 @@ def independence_profile(g: Graph) -> IndependenceProfile:
 
     rec((1 << g.n) - 1, 0, 0)
 
-    family = _sorted_family(found)
-    core = frozenset.intersection(*family) if family else frozenset()
-    corona = frozenset.union(*family) if family else frozenset()
-    return IndependenceProfile(best, family, core, corona)
+    # found is never empty: the empty set is independent.
+    return IndependenceProfile(
+        best, tuple(found), _mask_set(reduce(and_, found)), _mask_set(reduce(or_, found))
+    )
 
 
 def max_independent_difference(g: Graph) -> int:
@@ -218,13 +228,17 @@ def critical_family(g: Graph) -> CriticalFamily:
 
     rec((1 << g.n) - 1, 0, 0, 0)
 
-    family = _sorted_family(hits)
-    max_size = max((len(s) for s in family), default=0)
-    maximum = tuple(s for s in family if len(s) == max_size)
-    ker = frozenset.intersection(*family) if family else frozenset()
-    nucleus = frozenset.intersection(*maximum) if maximum else frozenset()
-    diadem = frozenset.union(*maximum) if maximum else frozenset()
-    return CriticalFamily(best, family, maximum, ker, nucleus, diadem)
+    # hits is never empty: some leaf reaches the best d, the empty set's 0 at least.
+    max_size = max(map(int.bit_count, hits))
+    maximum = tuple([h for h in hits if h.bit_count() == max_size])
+    return CriticalFamily(
+        best,
+        tuple(hits),
+        maximum,
+        _mask_set(reduce(and_, hits)),
+        _mask_set(reduce(and_, maximum)),
+        _mask_set(reduce(or_, maximum)),
+    )
 
 
 def mu_exact(g: Graph) -> int:
@@ -275,21 +289,53 @@ def _count_plane(counter: list[int], carry: int) -> None:
     counter.append(carry)
 
 
+def _member_planes(n: int) -> Iterator[tuple[int, int]]:
+    """(v, member[v]) for v = n-1 down to 0, one plane alive at a time.
+
+    member[v] has bit X for each of the 2^n subsets X that contain v: period
+    2^(v+1), 2^v zeros then 2^v ones. Bit v of X is set exactly where adding
+    2^v to X carries into bit v+1, or past the top for v = n-1, so with
+    p = member[v+1], or p = all ones for v = n-1, member[v] = p ^ (p >> 2^v):
+    n shift-XORs in all.
+    """
+    plane = (1 << (1 << n)) - 1
+    for v in reversed(range(n)):
+        plane ^= plane >> (1 << v)
+        yield v, plane
+
+
+def subset_plane(n: int, masks: Iterable[int]) -> int:
+    """The plane of 2^n bits with bit X set for each mask X < 2^n in masks.
+
+    Built in a bytearray: setting bits by |= 1 << X copies the whole plane
+    each time, which is quadratic.
+    """
+    buf = bytearray(((1 << n) + 7) >> 3)
+    for x in masks:
+        buf[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(buf, "little")
+
+
+def down_closure(plane: int) -> int:
+    """The plane of every subset of a set in plane: bit X is set iff X lies
+    inside some Y with bit Y set. Step v adds Y minus v for each Y that holds
+    v, so any X inside Y is reached by dropping Y's other vertices in turn.
+    No set exceeds the top one, T, as a number, so none holds a vertex at or
+    above k = T.bit_length(): the member planes span 2^k bits, not 2^n."""
+    k = (plane.bit_length() - 1).bit_length() if plane else 0
+    for v, member in _member_planes(k):
+        plane |= (plane & member) >> (1 << v)
+    return plane
+
+
 def _subset_planes(g: Graph) -> tuple[list[int], int, int]:
     """(counter, full, independent): bit planes over all 2^n subsets, where bit X
     stands for subset X. Bit X of counter[i] is bit i of s(X) = |X| + n - |N(X)|
     = d(X) + n; full has bit X for every X, independent for every independent X.
     """
-    size = 1 << g.n
-    full = (1 << size) - 1
-    # member[v]: the subsets that contain v, period 2^(v+1) (2^v zeros, then
-    # 2^v ones). Bit v of X is set exactly where adding 2^v to X carries into
-    # bit v+1, or past the top for v = n-1, so with p = member[v+1], or p = full
-    # for v = n-1, member[v] = p ^ (p >> 2^v): n shift-XORs in all.
+    full = (1 << (1 << g.n)) - 1
     member = [0] * g.n
-    plane = full
-    for v in reversed(range(g.n)):
-        plane ^= plane >> (1 << v)
+    for v, plane in _member_planes(g.n):
         member[v] = plane
     # Each v in X adds one to s(X), and so does each w outside N(X); s(X) <= 2n,
     # so the counter grows to at most ceil(log2(2n + 1)) planes.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
@@ -79,6 +79,16 @@ def complete_bipartite(a: int, b: int) -> Graph:
 def path(n: int) -> Graph:
     """P_n on vertices 0 .. n-1 in path order."""
     return Graph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+
+
+def vertex_mask(s: Iterable[int]) -> int:
+    """A vertex set in the oracle's family encoding: bit i for vertex index i."""
+    return sum(1 << v for v in s)
+
+
+def mask_members(mask: int) -> frozenset[int]:
+    """The vertex indices whose bits are set in mask."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def mate_size(mate: Sequence[int]) -> int:

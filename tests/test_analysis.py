@@ -19,7 +19,7 @@ from critind import (
     gnp,
     label_set,
 )
-from critind import analysis, critical, matching
+from critind import analysis, critical, matching, oracle
 from critind.cli import corpus_specs
 from strategies import graphs, permuted, sparse_graph
 
@@ -274,6 +274,39 @@ def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
         assert len(calls) == 1
         assert len(mates) == 1
         assert calls[0] == [mates[0], mates[0]]
+
+
+@pytest.mark.parametrize(
+    "g, x_size, profile_sizes, family_sizes",
+    [
+        # X = V: G[X] is G, and G[Xc] is empty.
+        (Graph([f"v{i}" for i in range(6)], [(0, 1), (2, 3), (4, 5)]), 6, [6, 0], [6]),
+        # X empty: G[Xc] is G, and G[X] is empty.
+        (Graph(["x", "y", "z"], [(0, 1), (1, 2), (0, 2)]), 0, [3, 0], [3, 0]),
+        # Proper splits: G[X] and G[Xc] are graphs of their own. No nonempty
+        # independent set of G[Xc] has difference >= 0, so each of its
+        # vertices has two neighbors in it: Xc has at least 3 vertices, as
+        # the triangle beside an edge has.
+        (fixture("GF"), 5, [10, 5, 5], [10, 5]),
+        (Graph(["a", "b", "x", "y", "z"], [(0, 1), (2, 3), (3, 4), (2, 4)]), 2, [5, 3, 2], [5, 2]),
+    ],
+    ids=["x-is-v", "x-is-empty", "proper-split", "smallest-xc"],
+)
+def test_oracle_runs_once_per_distinct_graph(monkeypatch, g, x_size, profile_sizes, family_sizes):
+    sizes = {"independence_profile": [], "critical_family": []}
+    for name, seen in sizes.items():
+        search = getattr(oracle, name)
+
+        def counted(h, search=search, seen=seen):
+            seen.append(h.n)
+            return search(h)
+
+        monkeypatch.setattr(oracle, name, counted)
+    report = analyze(g, include_checks=True)
+    assert report.ok
+    assert len(report.decomposition.X) == x_size
+    assert sorted(sizes["independence_profile"], reverse=True) == profile_sizes
+    assert sorted(sizes["critical_family"], reverse=True) == family_sizes
 
 
 @st.composite

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critind import (
     MAX_ORACLE_BOUND,
@@ -21,8 +22,8 @@ from critind import (
     max_independent_difference,
     mu_exact,
 )
-from critind.oracle import MAX_SUBSET_SCAN_BOUND, _subset_planes
-from strategies import complete_bipartite, graphs
+from critind.oracle import MAX_SUBSET_SCAN_BOUND, _subset_planes, down_closure, subset_plane
+from strategies import complete_bipartite, graphs, mask_members, vertex_mask
 
 
 def edgeless(n):
@@ -75,13 +76,13 @@ class TestIndependenceProfile:
     def test_g1_family(self, g1):
         prof = independence_profile(g1)
         assert prof.alpha == 4
-        fam = {frozenset(label_set(g1, s)) for s in prof.omega_family}
-        assert fam == {frozenset("abcd"), frozenset("abdf")}
+        want = [vertex_mask(g1.indices(names)) for names in ("abcd", "abdf")]
+        assert sorted(prof.omega_family) == sorted(want)
 
     def test_k0(self, k0):
         prof = independence_profile(k0)
         assert prof.alpha == 0
-        assert prof.omega_family == (frozenset(),)
+        assert prof.omega_family == (0,)
 
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundError):
@@ -98,8 +99,8 @@ class TestCriticalFamily:
 
     def test_g2_maximum_members(self, g2):
         fam = critical_family(g2)
-        maxima = {frozenset(label_set(g2, s)) for s in fam.maximum_critical_independent}
-        assert maxima == {frozenset("abcd"), frozenset("abdf")}
+        want = [vertex_mask(g2.indices(names)) for names in ("abcd", "abdf")]
+        assert sorted(fam.maximum_critical_independent) == sorted(want)
         assert label_set(g2, fam.nucleus) == ["a", "b", "d"]
         assert label_set(g2, fam.diadem) == ["a", "b", "c", "d", "f"]
         assert label_set(g2, fam.ker) == ["a", "b"]
@@ -108,13 +109,13 @@ class TestCriticalFamily:
         g = edgeless(3)
         fam = critical_family(g)
         assert fam.d == 3
-        assert fam.all_critical_independent == (frozenset(range(3)),)
+        assert fam.all_critical_independent == (0b111,)
         assert fam.ker == fam.nucleus == fam.diadem == frozenset(range(3))
 
     def test_k3_empty_only(self, k3):
         fam = critical_family(k3)
         assert fam.d == 0
-        assert fam.all_critical_independent == (frozenset(),)
+        assert fam.all_critical_independent == (0,)
         assert fam.ker == fam.nucleus == fam.diadem == frozenset()
 
     def test_k0(self, k0):
@@ -236,7 +237,7 @@ def per_mask_reference(g, independent_only):
 
 def family_reference(g):
     """Omega(G) and the critical family by a per-mask loop over all 2^n masks,
-    each ordered by (len, sorted) as the oracle orders them."""
+    each as a sorted list of masks."""
     adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
     independent = []
     for mask in range(1 << g.n):
@@ -245,26 +246,22 @@ def family_reference(g):
             if mask >> v & 1:
                 nbrs |= adj[v]
         if not nbrs & mask:
-            members = frozenset(v for v in range(g.n) if mask >> v & 1)
-            independent.append((members, len(members) - nbrs.bit_count()))
+            independent.append((mask, mask.bit_count() - nbrs.bit_count()))
 
-    def ordered(sets):
-        return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
-
-    alpha = max(len(s) for s, _ in independent)
+    alpha = max(s.bit_count() for s, _ in independent)
     d = max(d_s for _, d_s in independent)
-    omega = ordered(s for s, _ in independent if len(s) == alpha)
-    critical = ordered(s for s, d_s in independent if d_s == d)
-    top = max(len(s) for s in critical)
-    return omega, d, critical, tuple(s for s in critical if len(s) == top)
+    omega = [s for s, _ in independent if s.bit_count() == alpha]
+    critical = [s for s, d_s in independent if d_s == d]
+    top = max(s.bit_count() for s in critical)
+    return omega, d, critical, [s for s in critical if s.bit_count() == top]
 
 
 def assert_families_complete(g):
     omega, d, critical, maximum = family_reference(g)
     fam = critical_family(g)
-    assert independence_profile(g).omega_family == omega
-    assert fam.all_critical_independent == critical
-    assert fam.maximum_critical_independent == maximum
+    assert sorted(independence_profile(g).omega_family) == omega
+    assert sorted(fam.all_critical_independent) == critical
+    assert sorted(fam.maximum_critical_independent) == maximum
     # Three separate computations of d(G); the scan's two maxima agree by the reduction.
     assert fam.d == max_independent_difference(g) == d
     assert max_difference_exhaustive(g) == (d, d)
@@ -379,12 +376,42 @@ class TestSubsetPlanes:
 def test_family_members_are_critical_independent(g):
     fam = critical_family(g)
     for s in fam.all_critical_independent:
-        assert is_independent(g, s)
-        assert difference(g, s) == fam.d
-    sizes = {len(s) for s in fam.maximum_critical_independent}
+        assert is_independent(g, mask_members(s))
+        assert difference(g, mask_members(s)) == fam.d
+    sizes = {s.bit_count() for s in fam.maximum_critical_independent}
     assert len(sizes) <= 1
     if fam.all_critical_independent:
-        assert max(len(s) for s in fam.all_critical_independent) == max(sizes, default=0)
+        assert max(s.bit_count() for s in fam.all_critical_independent) == max(sizes, default=0)
+
+
+@settings(max_examples=40)
+@given(graphs(max_n=9))
+def test_families_hold_int_masks(g):
+    # A frozenset-style read of a family (len, <=, `in`) must fail loudly.
+    prof = independence_profile(g)
+    fam = critical_family(g)
+    for family in (prof.omega_family, fam.all_critical_independent, fam.maximum_critical_independent):
+        assert type(family) is tuple and family
+        for s in family:
+            assert type(s) is int and 0 <= s < 1 << g.n
+
+
+@st.composite
+def mask_families(draw):
+    n = draw(st.integers(0, 12))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+
+
+@settings(max_examples=80)
+@given(mask_families())
+def test_down_closure_is_every_subset_of_a_member(n_family):
+    n, family = n_family
+    plane = subset_plane(n, family)
+    assert plane == sum(1 << x for x in set(family))
+    closed = down_closure(plane)
+    assert closed >> (1 << n) == 0
+    for x in range(1 << n):
+        assert closed >> x & 1 == any(x & ~t == 0 for t in family)
 
 
 @settings(max_examples=60)
@@ -393,11 +420,11 @@ def test_family_summaries(g):
     fam = critical_family(g)
     assert fam.ker <= fam.nucleus
     if fam.d == 0:
-        assert frozenset() in fam.all_critical_independent
+        assert 0 in fam.all_critical_independent
         assert fam.ker == frozenset()
     # Each critical independent set sits inside some maximum one.
     for s in fam.all_critical_independent:
-        assert any(s <= t for t in fam.maximum_critical_independent)
+        assert any(s & ~t == 0 for t in fam.maximum_critical_independent)
 
 
 @settings(max_examples=60)
@@ -406,7 +433,7 @@ def test_critical_sets_inside_maximum_independent_sets(g):
     prof = independence_profile(g)
     fam = critical_family(g)
     for s in fam.all_critical_independent:
-        assert any(s <= t for t in prof.omega_family)
+        assert any(s & ~t == 0 for t in prof.omega_family)
     assert fam.diadem <= prof.corona
 
 
@@ -415,11 +442,12 @@ def test_critical_sets_inside_maximum_independent_sets(g):
 def test_omega_members_all_maximum(g):
     prof = independence_profile(g)
     for s in prof.omega_family:
-        assert len(s) == prof.alpha
-        assert is_independent(g, s)
+        assert s.bit_count() == prof.alpha
+        assert is_independent(g, mask_members(s))
     if prof.omega_family:
-        assert prof.core == frozenset.intersection(*prof.omega_family)
-        assert prof.corona == frozenset.union(*prof.omega_family)
+        sets = [mask_members(s) for s in prof.omega_family]
+        assert prof.core == frozenset.intersection(*sets)
+        assert prof.corona == frozenset.union(*sets)
 
 
 def test_core_nucleus_containment_goes_both_ways(g2, gf):
