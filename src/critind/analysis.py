@@ -4,17 +4,19 @@ analyze is the one entry point. It computes each polynomial answer once
 (d, mu, I, X and the diadem, from the cached critical structure), then,
 within the oracle bound, the oracle's profile and critical family, the
 four Konig-Egervary verdicts, and the theorem and consistency checks. The
-checks read those answers from the report rather than recomputing them, run
-the oracle again only on a G[X] or G[Xc] that is not G itself, and run the
-matching kernels on index lists: hopcroft_karp for the L4 witness
-and blossom for mu(G[X]). The verdict is rendered four provably equivalent
-ways; a disagreement anywhere is an implementation bug and is surfaced as a
-failed report, never swallowed. Beyond the oracle bound the oracle-backed
-fields are reported as skipped, explicitly.
+checks read those answers from the report rather than recomputing them. They
+run the oracle again only on a G[X] or G[Xc] that is not G itself, and
+blossom for mu(G[X]) only on a proper split (on X = V it is the report's mu).
+hopcroft_karp finds the L4 witness on index lists. Each distinct vertex set
+is rendered into labels once per report. The verdict is rendered four
+provably equivalent ways; a disagreement anywhere is an implementation bug
+and is surfaced as a failed report, never swallowed. Beyond the oracle bound
+the oracle-backed fields are reported as skipped, explicitly.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -81,6 +83,15 @@ class TheoremCheckResult:
         return asdict(self)
 
 
+def _result(id: str, holds: bool, **detail: Any) -> TheoremCheckResult:
+    """A check that applies; detail keeps the keyword order."""
+    return TheoremCheckResult(id, holds, detail=detail)
+
+
+def _not_applicable(id: str, reason: str) -> TheoremCheckResult:
+    return TheoremCheckResult(id, True, applicable=False, detail={"reason": reason})
+
+
 def _nbr_mask(adj: tuple[int, ...], s: int) -> int:
     """N(S) as a mask, for S a mask over the adjacency masks adj."""
     out = 0
@@ -96,45 +107,42 @@ def _run_checks(
     prof: IndependenceProfile,
     fam: CriticalFamily,
     adj: tuple[int, ...],
+    labels: Callable[[frozenset[int]], list[str]],
 ) -> list[TheoremCheckResult]:
     checks: list[TheoremCheckResult] = []
     g = report.graph
     verdicts = report.verdicts
     assert verdicts is not None
     alpha = prof.alpha
+    two_alpha = 2 * alpha
     ke = verdicts.is_ke
     x, xc = report.decomposition.X, report.decomposition.Xc
 
     # G[V] is G: same labels, index order and adjacency, so the deterministic
-    # oracle's answers there are the ones already computed for G.
+    # oracle's answers and mu there are the ones already computed for G.
     if len(x) == g.n:
-        gx, back_x, prof_x, fam_x = g, range(g.n), prof, fam
+        gx, back_x, prof_x, fam_x, mu_x = g, range(g.n), prof, fam, report.mu
     else:
         gx, back_x = induced_subgraph(g, x)
         prof_x = oracle.independence_profile(gx)
         fam_x = oracle.critical_family(gx)
+        mu_x = (gx.n - matching.blossom(gx.adj)[0].count(-1)) // 2
     if len(xc) == g.n:
         gxc, prof_xc = g, prof
     else:
         gxc, _ = induced_subgraph(g, xc)
         prof_xc = oracle.independence_profile(gxc)
-    mu_x = (gx.n - matching.blossom(gx.adj)[0].count(-1)) // 2
 
     def lift(s: frozenset[int]) -> frozenset[int]:
         return frozenset(back_x[i] for i in s)
 
     nucleus_x = lift(fam_x.nucleus)
     diadem_x = lift(fam_x.diadem)
+    counting = len(fam.nucleus) + len(fam.diadem)
 
     # T1: KE iff every maximum independent set is critical.
     all_mis_critical = verdicts.by_all_mis_critical
-    checks.append(
-        TheoremCheckResult(
-            "T1",
-            ke == all_mis_critical,
-            detail={"ke": ke, "all_mis_critical": all_mis_critical},
-        )
-    )
+    checks.append(_result("T1", ke == all_mis_critical, ke=ke, all_mis_critical=all_mis_critical))
 
     # T2: the four decomposition properties of X.
     t2_i = alpha == prof_x.alpha + prof_xc.alpha
@@ -143,16 +151,14 @@ def _run_checks(
     x_mask = sum(1 << v for v in x)
     t2_iv = all((s | _nbr_mask(adj, s)) == x_mask for s in fam.maximum_critical_independent)
     checks.append(
-        TheoremCheckResult(
+        _result(
             "T2",
             t2_i and t2_ii and t2_iii and t2_iv,
-            detail={
-                "alpha_additive": t2_i,
-                "gx_is_ke": t2_ii,
-                "xc_no_positive_difference": t2_iii,
-                "x_unique_over_all_witnesses": t2_iv,
-                "X": label_set(g, x),
-            },
+            alpha_additive=t2_i,
+            gx_is_ke=t2_ii,
+            xc_no_positive_difference=t2_iii,
+            x_unique_over_all_witnesses=t2_iv,
+            X=labels(x),
         )
     )
 
@@ -160,100 +166,69 @@ def _run_checks(
     # plane of critical sets lies inside the down-closure of the maximum ones.
     below_maximum = oracle.down_closure(oracle.subset_plane(g.n, fam.maximum_critical_independent))
     t3 = oracle.subset_plane(g.n, fam.all_critical_independent) & ~below_maximum == 0
-    checks.append(
-        TheoremCheckResult(
-            "T3", t3, detail={"critical_sets": len(fam.all_critical_independent)}
-        )
-    )
+    checks.append(_result("T3", t3, critical_sets=len(fam.all_critical_independent)))
 
     # T4 (KE only): diadem == corona and |ker| + |diadem| <= 2 alpha.
-    if ke:
-        t4 = fam.diadem == prof.corona and len(fam.ker) + len(fam.diadem) <= 2 * alpha
-        checks.append(
-            TheoremCheckResult(
-                "T4",
-                t4,
-                detail={
-                    "diadem": label_set(g, fam.diadem),
-                    "corona": label_set(g, prof.corona),
-                    "ker_plus_diadem": len(fam.ker) + len(fam.diadem),
-                    "two_alpha": 2 * alpha,
-                },
-            )
-        )
-    else:
-        checks.append(
-            TheoremCheckResult("T4", True, applicable=False, detail={"reason": "not applicable: non-KE"})
-        )
-
     # T5 (KE only): |nucleus| + |diadem| == 2 alpha.
-    counting = len(fam.nucleus) + len(fam.diadem)
+    # The verdicts already hold both equalities.
     if ke:
+        ker_plus_diadem = len(fam.ker) + len(fam.diadem)
         checks.append(
-            TheoremCheckResult(
-                "T5",
-                counting == 2 * alpha,
-                detail={"nucleus_plus_diadem": counting, "two_alpha": 2 * alpha},
+            _result(
+                "T4",
+                verdicts.by_diadem_corona and ker_plus_diadem <= two_alpha,
+                diadem=labels(fam.diadem),
+                corona=labels(prof.corona),
+                ker_plus_diadem=ker_plus_diadem,
+                two_alpha=two_alpha,
             )
         )
-    else:
         checks.append(
-            TheoremCheckResult("T5", True, applicable=False, detail={"reason": "not applicable: non-KE"})
+            _result("T5", verdicts.by_counting, nucleus_plus_diadem=counting, two_alpha=two_alpha)
         )
+    else:
+        checks += [_not_applicable(c, "not applicable: non-KE") for c in ("T4", "T5")]
 
     # T7: |nucleus| + |diadem| <= 2 alpha, for every graph.
     checks.append(
-        TheoremCheckResult(
-            "T7",
-            counting <= 2 * alpha,
-            detail={"nucleus_plus_diadem": counting, "two_alpha": 2 * alpha},
-        )
+        _result("T7", counting <= two_alpha, nucleus_plus_diadem=counting, two_alpha=two_alpha)
     )
 
     # C: the full corollary chain through core and corona.
     chain_hi = len(prof.core) + len(prof.corona)
     checks.append(
-        TheoremCheckResult(
+        _result(
             "C",
-            counting <= 2 * alpha <= chain_hi,
-            detail={
-                "nucleus_plus_diadem": counting,
-                "two_alpha": 2 * alpha,
-                "core_plus_corona": chain_hi,
-            },
+            counting <= two_alpha <= chain_hi,
+            nucleus_plus_diadem=counting,
+            two_alpha=two_alpha,
+            core_plus_corona=chain_hi,
         )
     )
 
     # L1: diadem and its neighborhood tile X exactly.
     checks.append(
-        TheoremCheckResult(
+        _result(
             "L1",
             (fam.diadem | neighborhood(g, fam.diadem)) == x,
-            detail={"diadem": label_set(g, fam.diadem), "X": label_set(g, x)},
+            diadem=labels(fam.diadem),
+            X=labels(x),
         )
     )
 
     # L2: diadem(G) within diadem(G[X]); nucleus(G[X]) within nucleus(G).
     checks.append(
-        TheoremCheckResult(
+        _result(
             "L2",
             fam.diadem <= diadem_x and nucleus_x <= fam.nucleus,
-            detail={
-                "diadem_gx": label_set(g, diadem_x),
-                "nucleus_gx": label_set(g, nucleus_x),
-            },
+            diadem_gx=labels(diadem_x),
+            nucleus_gx=labels(nucleus_x),
         )
     )
 
     # L4: the nucleus+diadem count never shrinks when passing to G[X].
     counting_x = len(fam_x.nucleus) + len(fam_x.diadem)
-    checks.append(
-        TheoremCheckResult(
-            "L4",
-            counting <= counting_x,
-            detail={"in_g": counting, "in_gx": counting_x},
-        )
-    )
+    checks.append(_result("L4", counting <= counting_x, in_g=counting, in_gx=counting_x))
 
     # L4-matching: nucleus(G) \ nucleus(G[X]) admits a saturating matching
     # into diadem(G[X]) \ diadem(G). Both sides are numbered in index order.
@@ -267,33 +242,25 @@ def _run_checks(
     )
     pairs = [(g.labels[u], g.labels[right[j]]) for u, j in zip(left, match_left) if j != -1]
     checks.append(
-        TheoremCheckResult(
+        _result(
             "L4-matching",
             len(pairs) == len(a_side),
-            detail={
-                "A": label_set(g, a_side),
-                "target": label_set(g, b_side),
-                "saturated": len(pairs),
-                "matching": sorted(sorted(pair) for pair in pairs),
-            },
+            A=labels(a_side),
+            target=labels(b_side),
+            saturated=len(pairs),
+            matching=sorted(sorted(pair) for pair in pairs),
         )
     )
 
     # K: ker within nucleus.
     checks.append(
-        TheoremCheckResult(
-            "K",
-            fam.ker <= fam.nucleus,
-            detail={"ker": label_set(g, fam.ker), "nucleus": label_set(g, fam.nucleus)},
-        )
+        _result("K", fam.ker <= fam.nucleus, ker=labels(fam.ker), nucleus=labels(fam.nucleus))
     )
 
     # B: diadem within corona.
     checks.append(
-        TheoremCheckResult(
-            "B",
-            fam.diadem <= prof.corona,
-            detail={"diadem": label_set(g, fam.diadem), "corona": label_set(g, prof.corona)},
+        _result(
+            "B", fam.diadem <= prof.corona, diadem=labels(fam.diadem), corona=labels(prof.corona)
         )
     )
 
@@ -301,78 +268,65 @@ def _run_checks(
     return checks
 
 
-def _run_consistency(report: AnalysisReport, fam: CriticalFamily) -> list[TheoremCheckResult]:
+def _run_consistency(
+    report: AnalysisReport,
+    fam: CriticalFamily,
+    labels: Callable[[frozenset[int]], list[str]],
+) -> list[TheoremCheckResult]:
     checks: list[TheoremCheckResult] = []
     g = report.graph
     d_fast = report.d
 
-    checks.append(
-        TheoremCheckResult(
-            "EQ-d",
-            d_fast == fam.d,
-            detail={"fast": d_fast, "oracle": fam.d},
-        )
-    )
+    checks.append(_result("EQ-d", d_fast == fam.d, fast=d_fast, oracle=fam.d))
 
     if g.n <= oracle.MAX_SUBSET_SCAN_BOUND:
         over_all, over_ind = oracle.max_difference_exhaustive(g)
         checks.append(
-            TheoremCheckResult(
+            _result(
                 "EQ-d-subsets",
                 d_fast == over_all == over_ind,
-                detail={"fast": d_fast, "all_subsets": over_all, "independent_subsets": over_ind},
+                fast=d_fast,
+                all_subsets=over_all,
+                independent_subsets=over_ind,
             )
         )
     else:
-        checks.append(
-            TheoremCheckResult(
-                "EQ-d-subsets", True, applicable=False, detail={"reason": "beyond subset-scan bound"}
-            )
-        )
+        checks.append(_not_applicable("EQ-d-subsets", "beyond subset-scan bound"))
 
     i_fast = report.decomposition.I
     oracle_max = max(map(int.bit_count, fam.maximum_critical_independent), default=0)
     checks.append(
-        TheoremCheckResult(
-            "EQ-mcis-size",
-            len(i_fast) == oracle_max,
-            detail={"fast": len(i_fast), "oracle": oracle_max},
-        )
+        _result("EQ-mcis-size", len(i_fast) == oracle_max, fast=len(i_fast), oracle=oracle_max)
     )
     checks.append(
-        TheoremCheckResult(
+        _result(
             "EQ-mcis-valid",
             is_independent(g, i_fast) and difference(g, i_fast) == fam.d,
-            detail={"I": label_set(g, i_fast)},
+            I=labels(i_fast),
         )
     )
 
+    # find_critical_independent_set returns X_min, which is ker(G).
     s_found = critical.find_critical_independent_set(g)
     checks.append(
-        TheoremCheckResult(
+        _result(
             "EQ-find-critical",
-            is_independent(g, s_found) and difference(g, s_found) == fam.d,
-            detail={"S": label_set(g, s_found)},
+            is_independent(g, s_found) and difference(g, s_found) == fam.d and s_found == fam.ker,
+            S=labels(s_found),
         )
     )
 
-    diadem_fast = report.diadem
     checks.append(
-        TheoremCheckResult(
+        _result(
             "EQ-diadem",
-            diadem_fast == fam.diadem,
-            detail={"fast": label_set(g, diadem_fast), "oracle": label_set(g, fam.diadem)},
+            report.diadem == fam.diadem,
+            fast=labels(report.diadem),
+            oracle=labels(fam.diadem),
         )
     )
 
     mu_oracle = oracle.mu_exact(g)
-    checks.append(
-        TheoremCheckResult(
-            "EQ-mu",
-            report.mu == mu_oracle,
-            detail={"blossom": report.mu, "oracle": mu_oracle},
-        )
-    )
+    checks.append(_result("EQ-mu", report.mu == mu_oracle, blossom=report.mu, oracle=mu_oracle))
 
     checks.sort(key=lambda c: c.id)
     return checks
@@ -420,8 +374,7 @@ class AnalysisReport:
         def opt(value: Any, render: Callable[[Any], Any] = lambda v: v) -> Any:
             return dict(_SKIPPED) if value is None else render(value)
 
-        def sets(s: frozenset[int]) -> list[str]:
-            return label_set(g, s)
+        sets = functools.partial(label_set, g)
 
         def checks(group: list[TheoremCheckResult]) -> list[dict[str, Any]]:
             return [c.to_json() for c in group]
@@ -542,7 +495,9 @@ def analyze(
 
     if include_checks:
         t2 = time.perf_counter()
-        report.checks = _run_checks(report, prof, fam, adj)
-        report.consistency = _run_consistency(report, fam)
+        # One rendering per distinct vertex set, shared by both check groups.
+        labels = functools.cache(functools.partial(label_set, g))
+        report.checks = _run_checks(report, prof, fam, adj, labels)
+        report.consistency = _run_consistency(report, fam, labels)
         timings["checks"] = time.perf_counter() - t2
     return report

@@ -19,7 +19,11 @@ from .graph import (
     GeneratorSpec,
     Graph,
     ParseError,
+    bipartite_gnp,
+    disjoint_union,
+    fixture,
     generate,
+    gnp,
     parse_graph,
     to_edge_list,
 )
@@ -96,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_graph(args: argparse.Namespace) -> Graph:
     if args.fixture:
-        return generate(GeneratorSpec("fixture", fixture=args.fixture))
+        return fixture(args.fixture)
     if args.input == "-":
         text = sys.stdin.read()
         # Under a C or POSIX locale stdin decodes with surrogateescape, so
@@ -207,24 +211,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
         if args.fixture:
-            spec = GeneratorSpec("fixture", fixture=args.fixture)
+            g = fixture(args.fixture)
         elif args.gnp:
-            spec = GeneratorSpec("gnp", n=int(args.gnp[0]), p=float(args.gnp[1]), seed=args.seed)
+            g = gnp(int(args.gnp[0]), float(args.gnp[1]), args.seed)
         elif args.bipartite:
-            spec = GeneratorSpec(
-                "bipartite_gnp",
-                parts=(int(args.bipartite[0]), int(args.bipartite[1])),
-                p=float(args.bipartite[2]),
-                seed=args.seed,
-            )
+            left, right = int(args.bipartite[0]), int(args.bipartite[1])
+            g = bipartite_gnp(left, right, float(args.bipartite[2]), args.seed)
         else:
             sizes = tuple(int(tok) for tok in args.union[0].split(",") if tok)
             if not sizes:
                 raise ValueError(f"bad size list {args.union[0]!r}; expected e.g. 4,5")
-            spec = GeneratorSpec(
-                "disjoint_union", parts=sizes, p=float(args.union[1]), seed=args.seed
-            )
-        g = generate(spec)
+            g = disjoint_union(sizes, float(args.union[1]), args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

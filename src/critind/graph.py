@@ -498,11 +498,10 @@ def disjoint_union(parts: Sequence[int], p: float, seed: int) -> Graph:
 class GeneratorSpec:
     """Deterministic recipe for a graph: same spec and seed, same graph."""
 
-    kind: str  # gnp | bipartite_gnp | disjoint_union | fixture
+    kind: str  # gnp | bipartite_gnp | disjoint_union
     n: int = 0
     p: float = 0.0
     parts: tuple[int, ...] = field(default=())
-    fixture: str = ""
     seed: int = 0
 
 
@@ -516,6 +515,4 @@ def generate(spec: GeneratorSpec) -> Graph:
         return bipartite_gnp(spec.parts[0], spec.parts[1], spec.p, spec.seed)
     if spec.kind == "disjoint_union":
         return disjoint_union(spec.parts, spec.p, spec.seed)
-    if spec.kind == "fixture":
-        return fixture(spec.fixture)
     raise ValueError(f"unknown generator kind {spec.kind!r}")

@@ -277,22 +277,27 @@ def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "g, x_size, profile_sizes, family_sizes",
+    "g, x_size, profile_sizes, family_sizes, blossom_sizes",
     [
-        # X = V: G[X] is G, and G[Xc] is empty.
-        (Graph([f"v{i}" for i in range(6)], [(0, 1), (2, 3), (4, 5)]), 6, [6, 0], [6]),
+        # X = V: G[X] is G, and G[Xc] is empty; mu(G[X]) is the report's mu.
+        (Graph([f"v{i}" for i in range(6)], [(0, 1), (2, 3), (4, 5)]), 6, [6, 0], [6], []),
         # X empty: G[Xc] is G, and G[X] is empty.
-        (Graph(["x", "y", "z"], [(0, 1), (1, 2), (0, 2)]), 0, [3, 0], [3, 0]),
+        (Graph(["x", "y", "z"], [(0, 1), (1, 2), (0, 2)]), 0, [3, 0], [3, 0], [0]),
         # Proper splits: G[X] and G[Xc] are graphs of their own. No nonempty
         # independent set of G[Xc] has difference >= 0, so each of its
         # vertices has two neighbors in it: Xc has at least 3 vertices, as
         # the triangle beside an edge has.
-        (fixture("GF"), 5, [10, 5, 5], [10, 5]),
-        (Graph(["a", "b", "x", "y", "z"], [(0, 1), (2, 3), (3, 4), (2, 4)]), 2, [5, 3, 2], [5, 2]),
+        (fixture("GF"), 5, [10, 5, 5], [10, 5], [5]),
+        (
+            Graph(["a", "b", "x", "y", "z"], [(0, 1), (2, 3), (3, 4), (2, 4)]),
+            2, [5, 3, 2], [5, 2], [2],
+        ),
     ],
     ids=["x-is-v", "x-is-empty", "proper-split", "smallest-xc"],
 )
-def test_oracle_runs_once_per_distinct_graph(monkeypatch, g, x_size, profile_sizes, family_sizes):
+def test_oracle_runs_once_per_distinct_graph(
+    monkeypatch, g, x_size, profile_sizes, family_sizes, blossom_sizes
+):
     sizes = {"independence_profile": [], "critical_family": []}
     for name, seen in sizes.items():
         search = getattr(oracle, name)
@@ -302,11 +307,40 @@ def test_oracle_runs_once_per_distinct_graph(monkeypatch, g, x_size, profile_siz
             return search(h)
 
         monkeypatch.setattr(oracle, name, counted)
+    # analysis calls matching.blossom through the module; the polynomial
+    # layer holds its own reference, so only the checks' calls land here.
+    blossom_seen = []
+    blossom = matching.blossom
+
+    def counted_blossom(adj):
+        blossom_seen.append(len(adj))
+        return blossom(adj)
+
+    monkeypatch.setattr(matching, "blossom", counted_blossom)
     report = analyze(g, include_checks=True)
     assert report.ok
     assert len(report.decomposition.X) == x_size
     assert sorted(sizes["independence_profile"], reverse=True) == profile_sizes
     assert sorted(sizes["critical_family"], reverse=True) == family_sizes
+    assert blossom_seen == blossom_sizes
+
+
+def test_checked_report_renders_each_vertex_set_once(monkeypatch):
+    rendered = []
+
+    def counted(g, s):
+        rendered.append(frozenset(s))
+        return label_set(g, s)
+
+    monkeypatch.setattr(analysis, "label_set", counted)
+    inputs = [fixture(name) for name in ("G1", "G2", "GF")]
+    inputs += [generate(spec) for spec in corpus_specs(200, 0, 12, [0.1, 0.3, 0.5, 0.8], 20261020)]
+    for g in inputs:
+        rendered.clear()
+        report = analyze(g, include_checks=True)
+        assert report.ok
+        assert rendered, "the checks render their vertex sets through analysis.label_set"
+        assert len(rendered) == len(set(rendered))
 
 
 @st.composite

@@ -664,7 +664,7 @@ def test_edge_list_round_trip(g):
 
 class TestGenerators:
     def test_fixture_g2(self):
-        g = generate(GeneratorSpec("fixture", fixture="G2"))
+        g = fixture("G2")
         assert g.n == 10 and g.m == 11
 
     def test_fixture_unknown(self):
