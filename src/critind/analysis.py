@@ -7,8 +7,11 @@ four Konig-Egervary verdicts, and the theorem and consistency checks. The
 checks read those answers from the report rather than recomputing them. They
 run the oracle again only on a G[X] or G[Xc] that is not G itself, and
 blossom for mu(G[X]) only on a proper split (on X = V it is the report's mu).
-hopcroft_karp finds the L4 witness on index lists. Each distinct vertex set
-is rendered into labels once per report. The verdict is rendered four
+hopcroft_karp finds the L4 witness on index lists. The all-MIS verdict and
+the set tests of T2, L1, EQ-mcis-valid and EQ-find-critical (independence,
+d(S) and S + N(S)) run on G's adjacency masks, built once per graph by
+oracle.adjacency_masks. Each distinct vertex set is rendered into labels once
+per checked report, serialization included. The verdict is rendered four
 provably equivalent ways; a disagreement anywhere is an implementation bug
 and is surfaced as a failed report, never swallowed. Beyond the oracle bound
 the oracle-backed fields are reported as skipped, explicitly.
@@ -23,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from . import critical, matching, oracle
-from .graph import Graph, difference, induced_subgraph, is_independent, label_set, neighborhood
+from .graph import Graph, induced_subgraph, label_set
 from .oracle import DEFAULT_ORACLE_BOUND, MAX_ORACLE_BOUND, CriticalFamily, IndependenceProfile
 
 __all__ = [
@@ -102,6 +105,25 @@ def _nbr_mask(adj: tuple[int, ...], s: int) -> int:
     return out
 
 
+def _closed_nbr_mask(adj: tuple[int, ...], s: int) -> int:
+    """S + N(S) as a mask."""
+    return s | _nbr_mask(adj, s)
+
+
+def _is_critical_witness(adj: tuple[int, ...], s: int, d: int) -> bool:
+    """True iff the mask S is independent and d(S) = d."""
+    nb = _nbr_mask(adj, s)
+    return not s & nb and s.bit_count() - nb.bit_count() == d
+
+
+def _label(g: Graph, memo: dict[frozenset[int], list[str]], s: frozenset[int]) -> list[str]:
+    """label_set(g, s), rendered once per memo."""
+    got = memo.get(s)
+    if got is None:
+        got = memo[s] = label_set(g, s)
+    return got
+
+
 def _run_checks(
     report: AnalysisReport,
     prof: IndependenceProfile,
@@ -148,8 +170,8 @@ def _run_checks(
     t2_i = alpha == prof_x.alpha + prof_xc.alpha
     t2_ii = prof_x.alpha + mu_x == gx.n
     t2_iii = oracle.max_independent_difference(gxc) == 0
-    x_mask = sum(1 << v for v in x)
-    t2_iv = all((s | _nbr_mask(adj, s)) == x_mask for s in fam.maximum_critical_independent)
+    x_mask = oracle.vertex_mask(x)
+    t2_iv = all(_closed_nbr_mask(adj, s) == x_mask for s in fam.maximum_critical_independent)
     checks.append(
         _result(
             "T2",
@@ -210,7 +232,7 @@ def _run_checks(
     checks.append(
         _result(
             "L1",
-            (fam.diadem | neighborhood(g, fam.diadem)) == x,
+            _closed_nbr_mask(adj, oracle.vertex_mask(fam.diadem)) == x_mask,
             diadem=labels(fam.diadem),
             X=labels(x),
         )
@@ -271,6 +293,7 @@ def _run_checks(
 def _run_consistency(
     report: AnalysisReport,
     fam: CriticalFamily,
+    adj: tuple[int, ...],
     labels: Callable[[frozenset[int]], list[str]],
 ) -> list[TheoremCheckResult]:
     checks: list[TheoremCheckResult] = []
@@ -301,7 +324,7 @@ def _run_consistency(
     checks.append(
         _result(
             "EQ-mcis-valid",
-            is_independent(g, i_fast) and difference(g, i_fast) == fam.d,
+            _is_critical_witness(adj, oracle.vertex_mask(i_fast), fam.d),
             I=labels(i_fast),
         )
     )
@@ -311,7 +334,7 @@ def _run_consistency(
     checks.append(
         _result(
             "EQ-find-critical",
-            is_independent(g, s_found) and difference(g, s_found) == fam.d and s_found == fam.ker,
+            _is_critical_witness(adj, oracle.vertex_mask(s_found), fam.d) and s_found == fam.ker,
             S=labels(s_found),
         )
     )
@@ -353,6 +376,11 @@ class AnalysisReport:
     consistency: list[TheoremCheckResult] | None = None
     timings: dict[str, float] = field(default_factory=dict)
 
+    # A checked report's label renders, keyed by vertex set, which analyze
+    # fills and to_json_dict reuses. Not a field: equality, repr and asdict
+    # leave it out, and a report built any other way renders directly.
+    _labels = None
+
     @property
     def failures(self) -> list[str]:
         """Ids of the failed checks and consistency checks, plus
@@ -374,7 +402,12 @@ class AnalysisReport:
         def opt(value: Any, render: Callable[[Any], Any] = lambda v: v) -> Any:
             return dict(_SKIPPED) if value is None else render(value)
 
-        sets = functools.partial(label_set, g)
+        memo = self._labels
+
+        def sets(s: frozenset[int]) -> list[str]:
+            # A checked report renders through its memo; the copy keeps the
+            # memo's list out of the caller's hands.
+            return label_set(g, s) if memo is None else list(_label(g, memo, s))
 
         def checks(group: list[TheoremCheckResult]) -> list[dict[str, Any]]:
             return [c.to_json() for c in group]
@@ -495,9 +528,11 @@ def analyze(
 
     if include_checks:
         t2 = time.perf_counter()
-        # One rendering per distinct vertex set, shared by both check groups.
-        labels = functools.cache(functools.partial(label_set, g))
+        # One rendering per distinct vertex set, shared by both check groups
+        # and by to_json_dict.
+        report._labels = memo = {}
+        labels = functools.partial(_label, g, memo)
         report.checks = _run_checks(report, prof, fam, adj, labels)
-        report.consistency = _run_consistency(report, fam, labels)
+        report.consistency = _run_consistency(report, fam, adj, labels)
         timings["checks"] = time.perf_counter() - t2
     return report

@@ -13,10 +13,15 @@ one that misses v can trade its edge at a neighbor u for uv. So v, of least
 positive degree, is only matched to each neighbor in turn, and a node stops
 once it reaches floor(k/2), k its vertices with a neighbor: no matching can
 do better.
+
+The searches and the checks in analysis.py read a graph's neighbor sets as
+bitmasks from adjacency_masks, which builds them once per live Graph and holds
+them weakly, so they go with the graph.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
@@ -102,9 +107,24 @@ def _require(g: Graph, bound: int, what: str) -> None:
         raise OracleBoundError(g.n, bound, what)
 
 
+# One tuple per live Graph, keyed weakly like critical._structures. A tuple of
+# ints holds no reference to its graph, so the cache keeps no graph alive. Two
+# threads that miss at once build equal tuples, and nothing iterates it.
+_masks: "weakref.WeakKeyDictionary[Graph, tuple[int, ...]]" = weakref.WeakKeyDictionary()
+
+
+def vertex_mask(s: Iterable[int]) -> int:
+    """A vertex set as a mask, index i owning bit 1 << i."""
+    return sum(map((1).__lshift__, s))
+
+
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    """Neighbor sets as bitmasks; index i owns bit 1 << i."""
-    return tuple([sum(map((1).__lshift__, nbrs)) for nbrs in g.adj])
+    """Neighbor sets as masks: one weakly held tuple per live graph, built on
+    its first call."""
+    got = _masks.get(g)
+    if got is None:
+        got = _masks[g] = tuple(map(vertex_mask, g.adj))
+    return got
 
 
 def _mask_set(mask: int) -> frozenset[int]:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +15,17 @@ from critind import (
     TheoremCheckResult,
     analyze,
     bipartite_gnp,
+    difference,
     fixture,
     generate,
     gnp,
+    is_independent,
     label_set,
+    neighborhood,
 )
 from critind import analysis, critical, matching, oracle
 from critind.cli import corpus_specs
-from strategies import graphs, permuted, sparse_graph
+from strategies import graphs, mask_members, permuted, sparse_graph, vertex_mask
 
 EXPECTED_CHECK_IDS = [
     "B", "C", "K", "L1", "L2", "L4", "L4-matching",
@@ -325,6 +329,48 @@ def test_oracle_runs_once_per_distinct_graph(
     assert blossom_seen == blossom_sizes
 
 
+@pytest.mark.parametrize(
+    "g, builds",
+    [
+        (Graph([f"v{i}" for i in range(6)], [(0, 1), (2, 3), (4, 5)]), [6, 0]),
+        (Graph(["x", "y", "z"], [(0, 1), (1, 2), (0, 2)]), [3, 0]),
+        (fixture("GF"), [10, 5, 5]),
+        (Graph(["a", "b", "x", "y", "z"], [(0, 1), (2, 3), (3, 4), (2, 4)]), [5, 3, 2]),
+    ],
+    ids=["x-is-v", "x-is-empty", "proper-split", "smallest-xc"],
+)
+def test_checked_analyze_builds_masks_once_per_distinct_graph(monkeypatch, g, builds):
+    # The cases of test_oracle_runs_once_per_distinct_graph: G, and G[X] and
+    # G[Xc] where they are not G. A fresh cache counts every build.
+    built = []
+
+    class Counted(weakref.WeakKeyDictionary):
+        def __setitem__(self, h, masks):
+            built.append(h.n)
+            super().__setitem__(h, masks)
+
+    monkeypatch.setattr(oracle, "_masks", Counted())
+    assert analyze(g, include_checks=True).ok
+    assert sorted(built, reverse=True) == builds
+
+
+@settings(max_examples=100)
+@given(graphs(max_n=10), st.data())
+def test_mask_set_tests_match_the_graph_functions(g, data):
+    # The set tests behind L1, T2, EQ-mcis-valid and EQ-find-critical.
+    adj = oracle.adjacency_masks(g)
+    for m in data.draw(st.lists(st.integers(0, (1 << g.n) - 1), min_size=1, max_size=8)):
+        s = mask_members(m)
+        assert oracle.vertex_mask(s) == m
+        nb = neighborhood(g, s)
+        assert analysis._nbr_mask(adj, m) == vertex_mask(nb)
+        assert analysis._closed_nbr_mask(adj, m) == vertex_mask(s | nb)
+        d = difference(g, s)
+        assert analysis._is_critical_witness(adj, m, d) == is_independent(g, s)
+        assert not analysis._is_critical_witness(adj, m, d + 1)
+        assert not analysis._is_critical_witness(adj, m, d - 1)
+
+
 def test_checked_report_renders_each_vertex_set_once(monkeypatch):
     rendered = []
 
@@ -340,6 +386,16 @@ def test_checked_report_renders_each_vertex_set_once(monkeypatch):
         report = analyze(g, include_checks=True)
         assert report.ok
         assert rendered, "the checks render their vertex sets through analysis.label_set"
+        # Serializing renders only the sets the checks did not, and hands out
+        # copies: changing one changes no later report.
+        doc = report.to_json_dict()
+        before = json.dumps(doc)
+        for key in ("diadem", "core", "corona", "ker", "nucleus"):
+            doc[key].append("changed")
+        for rendered_set in doc["decomposition"].values():
+            rendered_set.clear()
+        assert json.dumps(report.to_json_dict()) == before
+        report.to_text()
         assert len(rendered) == len(set(rendered))
 
 

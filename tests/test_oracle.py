@@ -1,6 +1,8 @@
+import gc
 import inspect
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from critind import (
     MAX_ORACLE_BOUND,
     Graph,
     OracleBoundError,
+    analyze,
     critical_difference,
     critical_family,
     difference,
@@ -22,7 +25,13 @@ from critind import (
     max_independent_difference,
     mu_exact,
 )
-from critind.oracle import MAX_SUBSET_SCAN_BOUND, _subset_planes, down_closure, subset_plane
+from critind.oracle import (
+    MAX_SUBSET_SCAN_BOUND,
+    _subset_planes,
+    adjacency_masks,
+    down_closure,
+    subset_plane,
+)
 from strategies import complete_bipartite, graphs, mask_members, vertex_mask
 
 
@@ -147,6 +156,46 @@ class TestOracleCap:
 
     def test_takes_the_graph_only(self, search):
         assert list(inspect.signature(search).parameters) == ["g"]
+
+
+class TestAdjacencyMasks:
+    """One mask tuple per live graph, held weakly: the searches and the
+    checks' set tests all read it."""
+
+    @settings(max_examples=80)
+    @given(graphs(max_n=12))
+    def test_masks_are_the_bits_of_adj(self, g):
+        masks = adjacency_masks(g)
+        assert len(masks) == g.n
+        for v, mask in enumerate(masks):
+            assert [w for w in range(g.n) if mask >> w & 1] == list(g.adj[v])
+            assert mask >> g.n == 0
+        assert adjacency_masks(g) is masks
+
+    def test_dropped_graphs_leave_no_masks_behind(self):
+        # Built, analyzed and dropped in turn, the graphs reuse each other's
+        # ids and often share n; each must still read its own masks. The
+        # recursive closure of mu_exact holds its graph in a reference cycle,
+        # which a collection of the youngest generation frees at a fraction
+        # of the cost of a full one.
+        seen, reused = set(), 0
+        for trial in range(60):
+            g = gnp(2 + trial % 7, 0.5, trial)
+            assert analyze(g).ok
+            assert adjacency_masks(g) == tuple(map(vertex_mask, g.adj))
+            reused += id(g) in seen
+            seen.add(id(g))
+            del g
+            gc.collect(0)
+        assert reused
+
+    def test_cache_keeps_no_graph_alive(self):
+        g = gnp(10, 0.4, 3)
+        analyze(g)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
 
 
 class TestMuExact:
