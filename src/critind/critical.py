@@ -9,8 +9,10 @@ Each proof sits at the function that relies on it:
   stored, whose closed sets are the critical sets; X_min, the closure of
   the unmatched originals.
 - find_critical_independent_set: X_min is independent and is ker(G).
-- _CriticalStructure._closures: the blocked vertices are N(X_min), and one
-  Tarjan walk builds each component's closure as a bitset of components.
+- _CriticalStructure._closures: the blocked vertices are N(X_min); a
+  forward and a backward search find the lowest free vertex's component,
+  and why the walk may number it whole after what it reaches; one Tarjan
+  walk builds every other component's closure as a bitset of components.
 - _CriticalStructure._scans: one scan of the free vertices yields I and
   the diadem, and why its bit tests are enough.
 - max_critical_independent_set: why the greedy is exact.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable
 
 from .graph import Graph, check_vertex_set, neighborhood
@@ -116,6 +118,7 @@ class _CriticalStructure:
         # blossom's roots, the few vertices the peel has not settled.
         left_match, right_match = hopcroft_karp(adj, n, (mate, mate[:]), roots)
         self.d = left_match.count(-1)
+        self.left_match = left_match
         self.right_match = right_match
 
         # Minimum critical set: closure of the unmatched originals.
@@ -157,23 +160,81 @@ class _CriticalStructure:
         The root's closure is acc | its component's bit, folded into its own
         parent. Each fold clears the acc it read, so only the frames on the
         DFS path hold one. Memory is at most (components)^2 / 8 bytes.
+
+        Before the walk, the pivot step (the forward-backward step of
+        Fleischer, Hendrickson and Pinar, 2000) finds the component S of the
+        lowest free vertex p. A forward search from p over succ gives F, its
+        free reach; it stops once every free vertex is met. A backward search
+        from p inside F, over the arcs into x, which come from the neighbours
+        of the mirror x holds, left_match[x], gives S = F & B; it stops once
+        all of F is met. Every path from p's reach to p stays in F, so the
+        backward search needs nothing outside it. The walk takes its roots
+        from F - S first. Whatever F - S reaches lies in F, and a vertex of
+        F - S that reached S would reach p and lie in B, so these walks stay
+        in F - S and number exactly its components. S reaches all of F and
+        nothing else free, so it is numbered next as one component c with
+        closure bits 1 .. c, and marked done. The walk then roots in index
+        order as before; a vertex outside F that reaches S finds it done and
+        ORs in its closure, as for any popped component. When the free part
+        is one component, as on dense graphs, both searches stop after a few
+        arcs per vertex and the walk itself does nothing. The extra scratch
+        is the mark bytearray and the lists of F, S and F - S.
         """
         n = self.n
         adj = self.adj
         partner = self.right_match.__getitem__
-        # low[u]: -1 until u is visited, then its DFS number, lowered; n once
-        # u is done (X_min, N(X_min), popped), so it never lowers a low-link.
-        low = [n if x else -1 for x in self.in_xmin]
+        # mark[u]: 1 once u is done (X_min, N(X_min)), 0 while u is free;
+        # the pivot step below raises free vertices to 2 in F and 3 in S.
+        mark = bytearray(self.in_xmin)
         for u in self.x_min:
             for w in adj[u]:
-                low[w] = n
+                mark[w] = 1
+        # low[u]: -1 until u is visited, then its DFS number, lowered; n once
+        # u is done (X_min, N(X_min), popped), so it never lowers a low-link.
+        low = [n if x else -1 for x in mark]
         comp = [0] * n
         acc = [0] * n
         closures = [0]
         counter = 0
         stack: list[int] = []
-        for root in range(n):
+        roots: Iterable[int] = range(n)
+        p = mark.find(0)
+        if p >= 0:
+            # Forward: F, the free vertices p reaches, stopping once all are met.
+            free = mark.count(0)
+            mark[p] = 2
+            fwd = [p]
+            for y in fwd:
+                for x in map(partner, adj[y]):
+                    if not mark[x]:
+                        mark[x] = 2
+                        fwd.append(x)
+                if len(fwd) == free:
+                    break
+            # Backward, inside F: S, those of F that reach p. The arcs into
+            # x come from the neighbours of the mirror x holds.
+            left_match = self.left_match
+            mark[p] = 3
+            bwd = [p]
+            for x in bwd:
+                for u in adj[left_match[x]]:
+                    if mark[u] == 2:
+                        mark[u] = 3
+                        bwd.append(u)
+                if len(bwd) == len(fwd):
+                    break
+            roots = chain([y for y in fwd if mark[y] == 2], (p,), roots)
+        for root in roots:
             if low[root] != -1:
+                continue
+            if root == p:
+                # S reaches every component numbered so far, all in F - S,
+                # and nothing else free.
+                c = len(closures)
+                closures.append((2 << c) - 2)
+                for y in bwd:
+                    low[y] = n
+                    comp[y] = c
                 continue
             low[root] = counter
             stack.append(root)

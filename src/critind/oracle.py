@@ -265,6 +265,7 @@ def mu_exact(g: Graph) -> int:
     """Exact maximum-matching size by the covering-lemma search above, memoized
     on the active vertices; the lowest index wins ties for the pivot."""
     _require(g, MAX_ORACLE_BOUND, "mu_exact")
+    n = g.n  # rec sits in a reference cycle: it must not hold g
     adj = adjacency_masks(g)
     memo: dict[int, int] = {}
 
@@ -272,7 +273,7 @@ def mu_exact(g: Graph) -> int:
         got = memo.get(active)
         if got is not None:
             return got
-        v, v_deg, k = -1, g.n, 0
+        v, v_deg, k = -1, n, 0
         a = active
         while a:
             b = a & -a
@@ -296,7 +297,7 @@ def mu_exact(g: Graph) -> int:
         memo[active] = best
         return best
 
-    return rec((1 << g.n) - 1)
+    return rec((1 << n) - 1)
 
 
 def _count_plane(counter: list[int], carry: int) -> None:

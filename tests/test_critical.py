@@ -88,6 +88,21 @@ def blocked_reference(g, succ, forbidden):
     return blocked
 
 
+def free_digraph(g):
+    """(free, digraph): the vertices in neither X_min nor blocked_reference's
+    blocked set, and succ restricted to them, built with networkx."""
+    nx = pytest.importorskip("networkx")
+    s = critical._structure(g)
+    succ, forbidden = successors(g)
+    blocked = blocked_reference(g, succ, forbidden)
+    free = [u for u in range(g.n) if not blocked[u] and not s.in_xmin[u]]
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(free)
+    keep = set(free)
+    digraph.add_edges_from((u, x) for u in free for x in succ[u] if x in keep)
+    return free, digraph
+
+
 def assert_closures_mark_blocked(g, succ, forbidden):
     """Every blocked and X_min vertex has comp 0, the free vertices use
     exactly the component ids 1 .. k, closures[0] is 0, and the classes of
@@ -100,12 +115,9 @@ def assert_closures_mark_blocked(g, succ, forbidden):
     assert all(comp[u] == 0 for u in range(g.n) if blocked[u] or s.in_xmin[u])
     # Dulmage-Mendelsohn on B(G): the blocked vertices are exactly N(X_min).
     assert blocked == [not s.x_min.isdisjoint(g.adj[u]) for u in range(g.n)]
-    free = [u for u in range(g.n) if not blocked[u] and not s.in_xmin[u]]
+    free, digraph = free_digraph(g)
     assert {comp[u] for u in free} == set(range(1, len(closures)))
     assert closures[0] == 0
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(free)
-    digraph.add_edges_from((u, x) for u in free for x in succ[u] if comp[x])
     classes = {}
     for u in free:
         classes.setdefault(comp[u], set()).add(u)
@@ -464,6 +476,96 @@ def test_one_scan_matches_full_scans_with_pendants(g):
     assert (max_critical_independent_set(g), diadem(g)) == scans_reference(g)
 
 
+def pivot_split(g):
+    """(free, F, S) by networkx: F is what the lowest free vertex p reaches
+    over succ among the free vertices, and S the part of F that reaches p,
+    p's strongly connected component."""
+    nx = pytest.importorskip("networkx")
+    free, digraph = free_digraph(g)
+    if not free:
+        return free, set(), set()
+    p = free[0]
+    f = nx.descendants(digraph, p) | {p}
+    return free, f, f & (nx.ancestors(digraph, p) | {p})
+
+
+def source_first(g):
+    """g with vertices 0 and v swapped, v lying in the one source component
+    of the free part's condensation, so that the lowest free vertex reaches
+    every free vertex. The components and their order come from the
+    Dulmage-Mendelsohn split of B(G), the same for every maximum matching."""
+    nx = pytest.importorskip("networkx")
+    _, digraph = free_digraph(g)
+    dag = nx.condensation(digraph)
+    (src,) = [c for c in dag if dag.in_degree(c) == 0]
+    v = min(dag.nodes[src]["members"])
+    swap = {0: v, v: 0}
+    order = [swap.get(u, u) for u in range(g.n)]
+    return Graph([g.labels[u] for u in order], [(order[u], order[w]) for u, w in g.edges()])
+
+
+def one_component(free, f, s):
+    return len(free) > 1 and s == set(free)
+
+
+def reaches_all_not_component(free, f, s):
+    return f == set(free) and s != f
+
+
+def rest_beside_large_component(free, f, s):
+    return f != set(free) and bool(f - s) and len(s) > len(f - s)
+
+
+def pivot_in_small_sink(free, f, s):
+    return f == s and len(s) <= 2 < len(free)
+
+
+def no_free(free, f, s):
+    return not free
+
+
+def two_free(free, f, s):
+    return len(free) == 2
+
+
+PIVOT_CASES = [
+    ("one-component-dense", lambda: sparse_graph(400, 60, seed=1), one_component),
+    ("one-component-gnp", lambda: gnp(300, 0.1, 4), one_component),
+    ("reaches-all-12", lambda: sparse_graph(12, 3, seed=9), reaches_all_not_component),
+    ("reaches-all-source", lambda: source_first(sparse_graph(200, 6, seed=3)), reaches_all_not_component),
+    ("rest-beside-large-100", lambda: sparse_graph(100, 6, seed=11), rest_beside_large_component),
+    ("rest-beside-large-200", lambda: sparse_graph(200, 3, seed=9), rest_beside_large_component),
+    ("small-sink-400", lambda: sparse_graph(400, 1.5, seed=8), pivot_in_small_sink),
+    ("small-sink-12", lambda: sparse_graph(12, 3, seed=0), pivot_in_small_sink),
+    ("no-free-k0", lambda: edgeless(0), no_free),
+    ("no-free-edgeless", lambda: edgeless(5), no_free),
+    ("no-free-star", lambda: complete_bipartite(1, 4), no_free),
+    ("two-free-k2", lambda: path(2), two_free),
+]
+
+
+@pytest.mark.parametrize(("build", "case"), [c[1:] for c in PIVOT_CASES], ids=[c[0] for c in PIVOT_CASES])
+def test_pivot_step_cases(build, case):
+    # The walk takes the lowest free vertex's component as the part of its
+    # forward reach F that reaches it back, S, after walking F - S; each
+    # graph here must really show its case, and the closures and scans must
+    # match the references that share nothing with the walk.
+    g = build()
+    assert case(*pivot_split(g))
+    assert_closures_are_reachability(g)
+    assert (max_critical_independent_set(g), diadem(g)) == scans_reference(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_pendants(max_n=12, max_pendants=8))
+def test_never_one_free_vertex(g):
+    # The free vertices are C_L of the Dulmage-Mendelsohn split of B(G),
+    # perfectly matched to C_R, their mirrors: a free u holds the mirror of
+    # a free neighbour, so the free part is empty or has two vertices or
+    # more, and the pivot step's one-vertex case cannot arise.
+    assert len(free_digraph(g)[0]) != 1
+
+
 def test_structure_keeps_answers_only():
     # The closure bitsets die with the scan, and extends maps the matching
     # over adj as it walks: nothing beyond the matching, X_min and the
@@ -471,7 +573,7 @@ def test_structure_keeps_answers_only():
     g = sparse_graph(600, 2.7, seed=23)
     analyze(g)
     s = critical._structure(g)
-    kept = {"n", "adj", "mu", "d", "right_match", "in_xmin", "x_min", "_scans"}
+    kept = {"n", "adj", "mu", "d", "left_match", "right_match", "in_xmin", "x_min", "_scans"}
     assert set(vars(s)) == kept
     d = critical_difference(g)
     rng = random.Random(23)
@@ -483,21 +585,49 @@ def test_structure_keeps_answers_only():
     assert diadem(g) == frozenset(v for v in range(g.n) if extends_to_critical_independent(g, [v]))
 
 
+def closure_walk_scratch(g):
+    """(comp, closures, bytes): the closure walk's answers and the peak of
+    its scratch, what it allocated beyond comp and closures."""
+    s = critical._CriticalStructure(g)
+    tracemalloc.start()
+    try:
+        comp, closures = s._closures()  # kept alive, so held counts them
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return comp, closures, peak - held
+
+
 def test_closure_walk_peak_memory():
     # Each fold clears the acc it read, so only the frames on the DFS path
     # hold one. Beside comp and closures, the walk's scratch is low and acc
     # (8 bytes a slot, plus 28 per DFS number past the small-int cache), the
-    # stack and the frames: 0.90 MB here over 0.85 MB held. A walk that kept
-    # every acc took 1.26 MB of scratch.
+    # stack and the frames, and the pivot step's mark bytearray (1 byte a
+    # slot) and its lists of F, S and F - S (8 a slot, plus growth slack).
+    def pivot_component(comp):
+        return comp.count(next(c for c in comp if c))
+
+    # The pivot is a singleton, so the giant component goes through the
+    # DFS: 0.88 MB of scratch over 0.88 MB held. A walk that kept every acc
+    # took 1.75 MB.
+    g = sparse_graph(12000, 4, seed=12)
+    comp, _, scratch = closure_walk_scratch(g)
+    assert pivot_component(comp) == 1
+    assert scratch <= 90 * g.n
+    # The pivot step numbers the giant component, 9248 vertices, without the
+    # DFS: 0.39 MB over 0.61 MB held. A walk that kept every acc took 0.65.
     g = sparse_graph(12000, 4, seed=5)
-    s = critical._CriticalStructure(g)
-    tracemalloc.start()
-    try:
-        got = s._closures()  # kept alive, so held counts comp and closures
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - held <= 90 * g.n
+    comp, _, scratch = closure_walk_scratch(g)
+    assert pivot_component(comp) > g.n // 2
+    assert scratch <= 45 * g.n
+    # Dense: every vertex is free and one component, S, so the DFS numbers
+    # no vertex. The scratch is low, acc, mark, the forward and backward
+    # lists and an empty F - S: 34 bytes a vertex. The Tarjan walk over the
+    # same graph took 175.
+    g = sparse_graph(2000, 60, seed=5)
+    comp, closures, scratch = closure_walk_scratch(g)
+    assert closures == [0, 2] and comp == [1] * g.n
+    assert scratch <= 40 * g.n
 
 
 @pytest.mark.parametrize(

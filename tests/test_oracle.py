@@ -17,6 +17,7 @@ from critind import (
     critical_family,
     difference,
     disjoint_union,
+    generate,
     gnp,
     independence_profile,
     is_independent,
@@ -25,6 +26,7 @@ from critind import (
     max_independent_difference,
     mu_exact,
 )
+from critind.cli import corpus_specs
 from critind.oracle import (
     MAX_SUBSET_SCAN_BOUND,
     _subset_planes,
@@ -174,10 +176,8 @@ class TestAdjacencyMasks:
 
     def test_dropped_graphs_leave_no_masks_behind(self):
         # Built, analyzed and dropped in turn, the graphs reuse each other's
-        # ids and often share n; each must still read its own masks. The
-        # recursive closure of mu_exact holds its graph in a reference cycle,
-        # which a collection of the youngest generation frees at a fraction
-        # of the cost of a full one.
+        # ids and often share n; each must still read its own masks. Each
+        # graph dies at its del, with no collection in between.
         seen, reused = set(), 0
         for trial in range(60):
             g = gnp(2 + trial % 7, 0.5, trial)
@@ -186,7 +186,6 @@ class TestAdjacencyMasks:
             reused += id(g) in seen
             seen.add(id(g))
             del g
-            gc.collect(0)
         assert reused
 
     def test_cache_keeps_no_graph_alive(self):
@@ -196,6 +195,26 @@ class TestAdjacencyMasks:
         del g
         gc.collect()
         assert ref() is None
+
+    def test_analyzed_graphs_die_without_the_collector(self):
+        # No reference cycle that analyze leaves behind may reach its graph:
+        # with the cyclic collector off, each graph must die at its del.
+        specs = list(corpus_specs(200, 4, 12, [0.1, 0.3, 0.5, 0.8], 3030))
+        gc.disable()
+        try:
+            for spec in specs:
+                g = generate(spec)
+                assert analyze(g, include_checks=True).ok
+                ref = weakref.ref(g)
+                del g
+                assert ref() is None, spec
+            g = gnp(MAX_ORACLE_BOUND + 40, 0.05, 3)
+            analyze(g)
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestMuExact:
