@@ -10,16 +10,16 @@ blossom for mu(G[X]) only on a proper split (on X = V it is the report's mu).
 hopcroft_karp finds the L4 witness on index lists. The all-MIS verdict and
 the set tests of T2, L1, EQ-mcis-valid and EQ-find-critical (independence,
 d(S) and S + N(S)) run on G's adjacency masks, built once per graph by
-oracle.adjacency_masks. Each distinct vertex set is rendered into labels once
-per checked report, serialization included. The verdict is rendered four
-provably equivalent ways; a disagreement anywhere is an implementation bug
-and is surfaced as a failed report, never swallowed. Beyond the oracle bound
-the oracle-backed fields are reported as skipped, explicitly.
+oracle.adjacency_masks. Check details, like the report's own fields, hold
+vertex sets as frozensets of indices; to_json_dict alone renders them into
+labels. The verdict is rendered four provably equivalent ways; a
+disagreement anywhere is an implementation bug and is surfaced as a failed
+report, never swallowed. Beyond the oracle bound the oracle-backed fields are
+reported as skipped, explicitly.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -82,9 +82,6 @@ class TheoremCheckResult:
     applicable: bool = True
     detail: dict[str, Any] = field(default_factory=dict)
 
-    def to_json(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 def _result(id: str, holds: bool, **detail: Any) -> TheoremCheckResult:
     """A check that applies; detail keeps the keyword order."""
@@ -116,20 +113,11 @@ def _is_critical_witness(adj: tuple[int, ...], s: int, d: int) -> bool:
     return not s & nb and s.bit_count() - nb.bit_count() == d
 
 
-def _label(g: Graph, memo: dict[frozenset[int], list[str]], s: frozenset[int]) -> list[str]:
-    """label_set(g, s), rendered once per memo."""
-    got = memo.get(s)
-    if got is None:
-        got = memo[s] = label_set(g, s)
-    return got
-
-
 def _run_checks(
     report: AnalysisReport,
     prof: IndependenceProfile,
     fam: CriticalFamily,
     adj: tuple[int, ...],
-    labels: Callable[[frozenset[int]], list[str]],
 ) -> list[TheoremCheckResult]:
     checks: list[TheoremCheckResult] = []
     g = report.graph
@@ -180,7 +168,7 @@ def _run_checks(
             gx_is_ke=t2_ii,
             xc_no_positive_difference=t2_iii,
             x_unique_over_all_witnesses=t2_iv,
-            X=labels(x),
+            X=x,
         )
     )
 
@@ -199,8 +187,8 @@ def _run_checks(
             _result(
                 "T4",
                 verdicts.by_diadem_corona and ker_plus_diadem <= two_alpha,
-                diadem=labels(fam.diadem),
-                corona=labels(prof.corona),
+                diadem=fam.diadem,
+                corona=prof.corona,
                 ker_plus_diadem=ker_plus_diadem,
                 two_alpha=two_alpha,
             )
@@ -233,8 +221,8 @@ def _run_checks(
         _result(
             "L1",
             _closed_nbr_mask(adj, oracle.vertex_mask(fam.diadem)) == x_mask,
-            diadem=labels(fam.diadem),
-            X=labels(x),
+            diadem=fam.diadem,
+            X=x,
         )
     )
 
@@ -243,8 +231,8 @@ def _run_checks(
         _result(
             "L2",
             fam.diadem <= diadem_x and nucleus_x <= fam.nucleus,
-            diadem_gx=labels(diadem_x),
-            nucleus_gx=labels(nucleus_x),
+            diadem_gx=diadem_x,
+            nucleus_gx=nucleus_x,
         )
     )
 
@@ -267,24 +255,19 @@ def _run_checks(
         _result(
             "L4-matching",
             len(pairs) == len(a_side),
-            A=labels(a_side),
-            target=labels(b_side),
+            A=a_side,
+            target=b_side,
             saturated=len(pairs),
-            matching=sorted(sorted(pair) for pair in pairs),
+            # Label pairs, as tuples: a serialized report shares them.
+            matching=tuple(sorted(tuple(sorted(pair)) for pair in pairs)),
         )
     )
 
     # K: ker within nucleus.
-    checks.append(
-        _result("K", fam.ker <= fam.nucleus, ker=labels(fam.ker), nucleus=labels(fam.nucleus))
-    )
+    checks.append(_result("K", fam.ker <= fam.nucleus, ker=fam.ker, nucleus=fam.nucleus))
 
     # B: diadem within corona.
-    checks.append(
-        _result(
-            "B", fam.diadem <= prof.corona, diadem=labels(fam.diadem), corona=labels(prof.corona)
-        )
-    )
+    checks.append(_result("B", fam.diadem <= prof.corona, diadem=fam.diadem, corona=prof.corona))
 
     checks.sort(key=lambda c: c.id)
     return checks
@@ -294,7 +277,6 @@ def _run_consistency(
     report: AnalysisReport,
     fam: CriticalFamily,
     adj: tuple[int, ...],
-    labels: Callable[[frozenset[int]], list[str]],
 ) -> list[TheoremCheckResult]:
     checks: list[TheoremCheckResult] = []
     g = report.graph
@@ -325,7 +307,7 @@ def _run_consistency(
         _result(
             "EQ-mcis-valid",
             _is_critical_witness(adj, oracle.vertex_mask(i_fast), fam.d),
-            I=labels(i_fast),
+            I=i_fast,
         )
     )
 
@@ -335,7 +317,7 @@ def _run_consistency(
         _result(
             "EQ-find-critical",
             _is_critical_witness(adj, oracle.vertex_mask(s_found), fam.d) and s_found == fam.ker,
-            S=labels(s_found),
+            S=s_found,
         )
     )
 
@@ -343,8 +325,8 @@ def _run_consistency(
         _result(
             "EQ-diadem",
             report.diadem == fam.diadem,
-            fast=labels(report.diadem),
-            oracle=labels(fam.diadem),
+            fast=report.diadem,
+            oracle=fam.diadem,
         )
     )
 
@@ -376,11 +358,6 @@ class AnalysisReport:
     consistency: list[TheoremCheckResult] | None = None
     timings: dict[str, float] = field(default_factory=dict)
 
-    # A checked report's label renders, keyed by vertex set, which analyze
-    # fills and to_json_dict reuses. Not a field: equality, repr and asdict
-    # leave it out, and a report built any other way renders directly.
-    _labels = None
-
     @property
     def failures(self) -> list[str]:
         """Ids of the failed checks and consistency checks, plus
@@ -402,15 +379,20 @@ class AnalysisReport:
         def opt(value: Any, render: Callable[[Any], Any] = lambda v: v) -> Any:
             return dict(_SKIPPED) if value is None else render(value)
 
-        memo = self._labels
-
-        def sets(s: frozenset[int]) -> list[str]:
-            # A checked report renders through its memo; the copy keeps the
-            # memo's list out of the caller's hands.
-            return label_set(g, s) if memo is None else list(_label(g, memo, s))
+        def sets(value: Any) -> Any:
+            # Vertex sets, and only they, are frozensets: they render as labels.
+            return label_set(g, value) if isinstance(value, frozenset) else value
 
         def checks(group: list[TheoremCheckResult]) -> list[dict[str, Any]]:
-            return [c.to_json() for c in group]
+            return [
+                {
+                    "id": c.id,
+                    "holds": c.holds,
+                    "applicable": c.applicable,
+                    "detail": {k: sets(v) for k, v in c.detail.items()},
+                }
+                for c in group
+            ]
 
         return {
             "graph": {"n": g.n, "m": g.m},
@@ -528,11 +510,7 @@ def analyze(
 
     if include_checks:
         t2 = time.perf_counter()
-        # One rendering per distinct vertex set, shared by both check groups
-        # and by to_json_dict.
-        report._labels = memo = {}
-        labels = functools.partial(_label, g, memo)
-        report.checks = _run_checks(report, prof, fam, adj, labels)
-        report.consistency = _run_consistency(report, fam, adj, labels)
+        report.checks = _run_checks(report, prof, fam, adj)
+        report.consistency = _run_consistency(report, fam, adj)
         timings["checks"] = time.perf_counter() - t2
     return report

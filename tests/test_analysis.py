@@ -97,8 +97,8 @@ class TestVerifyTheorems:
         by_id = {c.id: c for c in analyze(g2).checks}
         assert by_id["L4-matching"].holds
         # nucleus(G) \ nucleus(G[X]) = {d} saturates into diadem(G[X]) \ diadem(G) = {g}.
-        assert by_id["L4-matching"].detail["A"] == ["d"]
-        assert by_id["L4-matching"].detail["target"] == ["g"]
+        assert by_id["L4-matching"].detail["A"] == g2.indices("d")
+        assert by_id["L4-matching"].detail["target"] == g2.indices("g")
         assert by_id["L4-matching"].detail["saturated"] == 1
 
     def test_k0_all_hold(self, k0):
@@ -371,7 +371,18 @@ def test_mask_set_tests_match_the_graph_functions(g, data):
         assert not analysis._is_critical_witness(adj, m, d - 1)
 
 
-def test_checked_report_renders_each_vertex_set_once(monkeypatch):
+def _lists(value):
+    """Every list inside a JSON document, outermost first."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _lists(item)
+    elif isinstance(value, list):
+        yield value
+        for item in value:
+            yield from _lists(item)
+
+
+def test_checked_analyze_renders_no_labels(monkeypatch):
     rendered = []
 
     def counted(g, s):
@@ -385,18 +396,45 @@ def test_checked_report_renders_each_vertex_set_once(monkeypatch):
         rendered.clear()
         report = analyze(g, include_checks=True)
         assert report.ok
-        assert rendered, "the checks render their vertex sets through analysis.label_set"
-        # Serializing renders only the sets the checks did not, and hands out
-        # copies: changing one changes no later report.
+        assert rendered == [], "a checked analyze renders no labels"
+        # Serializing renders through analysis.label_set and hands out fresh
+        # lists: changing one changes no later report.
         doc = report.to_json_dict()
-        before = json.dumps(doc)
-        for key in ("diadem", "core", "corona", "ker", "nucleus"):
-            doc[key].append("changed")
-        for rendered_set in doc["decomposition"].values():
-            rendered_set.clear()
+        assert rendered, "to_json_dict renders its vertex sets through analysis.label_set"
+        before, text = json.dumps(doc), report.to_text()
+        for found in list(_lists(doc)):
+            found.append("changed")
         assert json.dumps(report.to_json_dict()) == before
-        report.to_text()
-        assert len(rendered) == len(set(rendered))
+        assert report.to_text() == text
+
+
+# Labels that JSON must escape, or that are not ASCII.
+_AWKWARD_LABELS = st.text(st.sampled_from('"\\éß中😀Ωa0'), min_size=1, max_size=3)
+
+
+@settings(max_examples=60)
+@given(graphs(max_n=10), st.data())
+def test_check_details_render_frozensets_alone(g, data):
+    labels = data.draw(st.lists(_AWKWARD_LABELS, min_size=g.n, max_size=g.n, unique=True))
+    h = permuted(Graph(labels, g.edges()), data.draw(st.randoms(use_true_random=False)))
+    report = analyze(h)
+    doc = report.to_json_dict()
+    loaded = json.loads(json.dumps(doc, indent=2))
+    for key in ("checks", "consistency"):
+        group = getattr(report, key)
+        assert len(doc[key]) == len(loaded[key]) == len(group)
+        for c, got, back in zip(group, doc[key], loaded[key]):
+            assert list(got) == ["id", "holds", "applicable", "detail"]
+            assert (got["id"], got["holds"], got["applicable"]) == (c.id, c.holds, c.applicable)
+            assert list(got["detail"]) == list(c.detail)
+            for name, value in c.detail.items():
+                if isinstance(value, frozenset):
+                    assert got["detail"][name] == label_set(h, value)
+                    assert h.indices(back["detail"][name]) == value
+                else:
+                    # A vertex set is never held rendered or as a mutable set.
+                    assert not isinstance(value, (list, set))
+                    assert got["detail"][name] is value
 
 
 @st.composite
@@ -415,11 +453,12 @@ def _beside_g2(draw):
 def test_l4_matching_witness_pairs_are_edges_from_a_to_target(g):
     # The witness comes straight from hopcroft_karp on index lists, which
     # nothing validates, so check each pair against G here.
+    # A and target are index sets; the matching holds label pairs.
     detail = {c.id: c for c in analyze(g).checks}["L4-matching"].detail
-    a_side, target = set(detail["A"]), set(detail["target"])
-    ends = [v for pair in detail["matching"] for v in pair]
+    a_side, target = detail["A"], detail["target"]
+    ends = [g.index_of(v) for pair in detail["matching"] for v in pair]
     assert len(ends) == len(set(ends)) == 2 * detail["saturated"]
-    for x, y in detail["matching"]:
+    for x, y in zip(ends[::2], ends[1::2]):
         u, w = (x, y) if x in a_side else (y, x)
         assert u in a_side and w in target
-        assert g.has_edge(g.index_of(u), g.index_of(w))
+        assert g.has_edge(u, w)

@@ -2,12 +2,23 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critind import DEFAULT_ORACLE_BOUND, MAX_ORACLE_BOUND, gnp, parse_graph, to_edge_list
+from critind import (
+    DEFAULT_ORACLE_BOUND,
+    MAX_ORACLE_BOUND,
+    fixture,
+    gnp,
+    parse_graph,
+    to_edge_list,
+)
 from critind.cli import main
 from critind.graph import MAX_DIMACS_VERTICES
 from strategies import dimacs_text, graphs
@@ -287,6 +298,26 @@ class TestGenerateCommand:
         code, out, _ = run(capsys, "analyze", "--input", str(path))
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+
+def test_python_m_critind_runs_the_cli_from_a_source_checkout():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "critind", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    done = python_m("generate", "--fixture", "G1")
+    assert (done.returncode, done.stdout, done.stderr) == (0, to_edge_list(fixture("G1")), "")
+    done = python_m("generate", "--fixture", "G1", "--no-such-flag")
+    assert done.returncode == 2
+    assert "unrecognized arguments: --no-such-flag" in done.stderr
+    assert done.stdout == ""
 
 
 # Bytes that move a graph text between its syntactic cases, mixed with any byte.
