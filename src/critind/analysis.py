@@ -1,16 +1,16 @@
 """Konig-Egervary verdicts, whole-theorem verification, and report assembly.
 
 analyze is the one entry point. It computes each polynomial answer once
-(d, mu, I, X and the diadem, from the cached critical structure), then,
-within the oracle bound, the oracle's profile and critical family, the
+(d, mu, I, X and the diadem, from the critical structure G keeps once built),
+then, within the oracle bound, the oracle's profile and critical family, the
 four Konig-Egervary verdicts, and the theorem and consistency checks. The
 checks read those answers from the report rather than recomputing them. They
 run the oracle again only on a G[X] or G[Xc] that is not G itself, and
 blossom for mu(G[X]) only on a proper split (on X = V it is the report's mu).
 hopcroft_karp finds the L4 witness on index lists. The all-MIS verdict and
 the set tests of T2, L1, EQ-mcis-valid and EQ-find-critical (independence,
-d(S) and S + N(S)) run on G's adjacency masks, built once per graph by
-oracle.adjacency_masks. Check details, like the report's own fields, hold
+d(S) and S + N(S)) run on G's adjacency masks, which oracle.adjacency_masks
+builds once and G keeps. Check details, like the report's own fields, hold
 vertex sets as frozensets of indices; to_json_dict alone renders them into
 labels. The verdict is rendered four provably equivalent ways; a
 disagreement anywhere is an implementation bug and is surfaced as a failed
@@ -415,7 +415,7 @@ class AnalysisReport:
             "consistency": opt(self.consistency, checks),
             "ke": opt(self.verdicts, lambda v: v.is_ke),
             "ok": self.ok,
-            "timings": self.timings,
+            "timings": dict(self.timings),
         }
 
     def to_text(self) -> str:

@@ -2,13 +2,14 @@
 seeded corpus, or emit generated graphs.
 
 Exit codes: 0 success, 1 check failure (always an implementation bug),
-2 input/config error, 3 oracle-bound refusal.
+2 input, output or config error, 3 oracle-bound refusal.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Iterator
@@ -230,9 +231,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: the flush at exit goes to devnull instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ the tests, in tests/reference.py.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -89,8 +88,8 @@ class _CriticalStructure:
     The structure keeps the matching, X_min and the scans' answers; the
     closure bitsets live only while _scans runs.
 
-    Holds g.adj, not g: a reference to g from this value of the weak cache
-    keyed by g would keep g alive forever.
+    Holds g.adj, not g: g owns its structure, so a reference back to g
+    would form a cycle that only the cyclic collector frees.
 
     Hopcroft-Karp starts only from the blossom's roots, the core vertices it
     left unmatched; with P, U, C, Z and Z' as in matching.blossom that gives
@@ -349,14 +348,10 @@ class _CriticalStructure:
         return True
 
 
-_structures: "weakref.WeakKeyDictionary[Graph, _CriticalStructure]" = weakref.WeakKeyDictionary()
-
-
 def _structure(g: Graph) -> _CriticalStructure:
-    got = _structures.get(g)
+    got = g._derived.get("critical")
     if got is None:
-        got = _CriticalStructure(g)
-        _structures[g] = got
+        got = g._derived["critical"] = _CriticalStructure(g)
     return got
 
 

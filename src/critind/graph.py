@@ -90,10 +90,12 @@ class Graph:
     """Simple undirected graph: no self-loops, no parallel edges.
 
     Immutable after construction; all operations in this package are pure
-    functions over Graph values, so instances are safe to share.
+    functions over Graph values, so instances are safe to share. _derived
+    starts empty: other modules keep what they compute from the graph there,
+    each under its own key, built on first use and freed with the graph.
     """
 
-    __slots__ = ("labels", "adj", "n", "m", "_index", "__weakref__")
+    __slots__ = ("labels", "adj", "n", "m", "_index", "_derived", "__weakref__")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]]):
         labels = tuple(labels)
@@ -145,6 +147,7 @@ class Graph:
         self.adj = tuple(map(tuple, nbrs))
         self.m = sum(map(len, self.adj)) // 2
         self._index = index
+        self._derived: dict[str, object] = {}
 
     @classmethod
     def from_label_edges(cls, labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> "Graph":

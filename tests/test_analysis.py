@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -155,13 +154,13 @@ class TestAnalyze:
         g = sparse_graph(5000, 4, seed=3)
         with pytest.raises(OracleBoundError):
             analyze(g, require_oracle=True)
-        assert g not in critical._structures
+        assert not g._derived
 
     def test_oracle_bound_above_cap_refused_before_any_work(self):
         g = gnp(8, 0.5, seed=7)
         with pytest.raises(ValueError, match=f"at most {MAX_ORACLE_BOUND}"):
             analyze(g, oracle_bound=MAX_ORACLE_BOUND + 1)
-        assert g not in critical._structures
+        assert not g._derived
 
     def test_json_shape_full(self, g1):
         doc = analyze(g1).to_json_dict()
@@ -341,17 +340,20 @@ def test_oracle_runs_once_per_distinct_graph(
 )
 def test_checked_analyze_builds_masks_once_per_distinct_graph(monkeypatch, g, builds):
     # The cases of test_oracle_runs_once_per_distinct_graph: G, and G[X] and
-    # G[Xc] where they are not G. A fresh cache counts every build.
-    built = []
+    # G[Xc] where they are not G. Each distinct (graph, masks) pair a call
+    # returns is one build; the calls list keeps both alive, so no id is reused.
+    calls = []
+    real = oracle.adjacency_masks
 
-    class Counted(weakref.WeakKeyDictionary):
-        def __setitem__(self, h, masks):
-            built.append(h.n)
-            super().__setitem__(h, masks)
+    def counted(h):
+        masks = real(h)
+        calls.append((h, masks))
+        return masks
 
-    monkeypatch.setattr(oracle, "_masks", Counted())
+    monkeypatch.setattr(oracle, "adjacency_masks", counted)
     assert analyze(g, include_checks=True).ok
-    assert sorted(built, reverse=True) == builds
+    built = {(id(h), id(masks)): h.n for h, masks in calls}
+    assert sorted(built.values(), reverse=True) == builds
 
 
 @settings(max_examples=100)
@@ -371,15 +373,12 @@ def test_mask_set_tests_match_the_graph_functions(g, data):
         assert not analysis._is_critical_witness(adj, m, d - 1)
 
 
-def _lists(value):
-    """Every list inside a JSON document, outermost first."""
-    if isinstance(value, dict):
-        for item in value.values():
-            yield from _lists(item)
-    elif isinstance(value, list):
+def _containers(value):
+    """Every list and dict inside a JSON document, outermost first."""
+    if isinstance(value, (dict, list)):
         yield value
-        for item in value:
-            yield from _lists(item)
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _containers(item)
 
 
 def test_checked_analyze_renders_no_labels(monkeypatch):
@@ -398,14 +397,19 @@ def test_checked_analyze_renders_no_labels(monkeypatch):
         assert report.ok
         assert rendered == [], "a checked analyze renders no labels"
         # Serializing renders through analysis.label_set and hands out fresh
-        # lists: changing one changes no later report.
+        # lists and dicts, timings included: changing one changes no later
+        # report.
         doc = report.to_json_dict()
         assert rendered, "to_json_dict renders its vertex sets through analysis.label_set"
-        before, text = json.dumps(doc), report.to_text()
-        for found in list(_lists(doc)):
-            found.append("changed")
+        before, text, timings = json.dumps(doc), report.to_text(), dict(report.timings)
+        for found in list(_containers(doc)):
+            if isinstance(found, dict):
+                found["changed"] = 1.0
+            else:
+                found.append("changed")
         assert json.dumps(report.to_json_dict()) == before
         assert report.to_text() == text
+        assert report.timings == timings
 
 
 # Labels that JSON must escape, or that are not ASCII.

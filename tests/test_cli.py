@@ -320,6 +320,38 @@ def test_python_m_critind_runs_the_cli_from_a_source_checkout():
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--fixture", "G1"],
+        ["verify", "--trials", "20", "--seed", "3"],
+        ["generate", "--fixture", "GF"],
+    ],
+    ids=["analyze", "verify", "generate"],
+)
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_2_without_a_traceback(argv, unbuffered):
+    # The read end is closed before the child starts, so its first write to
+    # stdout meets a broken pipe; buffered, a short output meets it only
+    # when it is flushed.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "critind", *argv],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+
+
 # Bytes that move a graph text between its syntactic cases, mixed with any byte.
 _MUTATION_BYTES = st.sampled_from(list(b"0123456789 -\n\t#cpe")) | st.integers(0, 255)
 

@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -788,15 +789,30 @@ def test_path_with_triangle_beyond_oracle_bound(n):
     assert got == {True, False}
 
 
-def test_structure_cache_frees_dropped_graphs():
-    critical._structures.clear()
+def test_structure_cache_frees_dropped_graphs(monkeypatch):
+    # decompose and diadem share one structure, kept on g, and g dies at its
+    # del with the cyclic collector off, while its structure is still held.
+    built = []
+
+    class Counted(critical._CriticalStructure):
+        def __init__(self, g):
+            built.append(g.n)
+            super().__init__(g)
+
+    monkeypatch.setattr(critical, "_CriticalStructure", Counted)
     g = sparse_graph(50, 2, seed=1)
     decompose(g)
     diadem(g)
-    assert len(critical._structures) == 1
-    del g
-    gc.collect()
-    assert len(critical._structures) == 0
+    structure = critical._structure(g)
+    assert critical._structure(g) is structure
+    assert built == [50]
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=80)

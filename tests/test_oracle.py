@@ -161,8 +161,8 @@ class TestOracleCap:
 
 
 class TestAdjacencyMasks:
-    """One mask tuple per live graph, held weakly: the searches and the
-    checks' set tests all read it."""
+    """One mask tuple per graph, kept on it: the searches and the checks' set
+    tests all read it."""
 
     @settings(max_examples=80)
     @given(graphs(max_n=12))
