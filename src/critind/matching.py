@@ -7,9 +7,9 @@ function that relies on it:
 
 - hopcroft_karp: a warm start, and phases started only from given roots.
 - _seed: the Karp-Sipser peel never loses optimality.
-- blossom: why searching only from the seed's core, and stopping once
-  fewer than two of its vertices wait, gives a maximum matching.
-- _augmenter: one search works only on the vertices its tree touches.
+- blossom: why phases grown from the seed's unmatched core, until one
+  fails or fewer than two roots wait, give a maximum matching.
+- _augmenter: one phase grows a forest from every root at once.
 
 max_matching_bipartite, min_vertex_cover_bipartite and max_matching_general
 wrap the kernels for a Graph; they are cross-checks, and no production
@@ -191,20 +191,23 @@ def min_vertex_cover_bipartite(g: Graph, left: Iterable[int], mate: Sequence[int
 # General graphs: blossom contraction
 
 
-def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int], int]:
+def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[list[int]], bool]:
     """The blossom search over one graph and one mutable mate array.
 
-    The returned function grows a BFS alternating tree from an unmatched
-    root, contracting blossoms as it meets them. If it reaches an unmatched
-    vertex it flips the augmenting path into `match` and returns that
-    vertex, the path's other end; otherwise it returns -1 and leaves `match`
-    as it was. Blossom bases live in a union-find (Gabow, J. ACM 23, 1976).
-    Its scratch arrays are allocated here once; each search resets only the
-    vertices its tree touched, so it does no O(n) work.
+    The returned function runs one phase: it grows a BFS alternating forest
+    with one tree from each of roots, distinct unmatched vertices, and
+    contracts blossoms, whose bases live in a union-find (Gabow, J. ACM 23,
+    1976). An even vertex that meets an even vertex of another tree, or an
+    unmatched vertex outside the forest, flips the augmenting path into
+    `match`; its trees die and the rest grow on. The phase stops once fewer
+    than two trees live and returns whether it augmented; one that did not
+    grew a complete forest and left `match` as it was. Scratch arrays are
+    allocated here once; a phase resets only the vertices it touched.
     """
     n = len(adj)
     parent = [-1] * n
-    used = [False] * n  # even (outer) vertices of the current tree
+    used = [False] * n  # even (outer) vertices of the forest
+    tree = [-1] * n  # the position in roots of the vertex's tree, or -1
     uf = list(range(n))  # union-find over blossoms; each root is its blossom's base
     mark = [0] * n  # lca stamps
     stamp = 0
@@ -245,50 +248,77 @@ def _augmenter(adj: Sequence[Sequence[int]], match: list[int]) -> Callable[[int]
             child = x
             v = parent[x]
 
-    def augment(root: int) -> int:
-        used[root] = True
-        queue = [root]
+    def flip(x: int, y: int) -> None:
+        # Match even x to y and flip the path from x to its root, through
+        # the parent/match encoding mark_path writes for blossoms.
+        while True:
+            u = match[x]
+            match[x] = y
+            if u == -1:
+                return
+            x = parent[u]
+            match[u] = x
+            y = u
+
+    def phase(roots: list[int]) -> bool:
+        dead = bytearray(len(roots))
+        live = len(roots)
+        queue = list(roots)
         odd: list[int] = []
-        end = -1
+        for t, r in enumerate(roots):
+            tree[r] = t
+            used[r] = True
         i = 0
-        while i < len(queue) and end == -1:
+        while i < len(queue) and live >= 2:
             v = queue[i]
             i += 1
+            t = tree[v]
+            if dead[t]:
+                continue
             for to in adj[v]:
-                if match[v] == to or find(v) == find(to):
-                    continue
-                if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                    # Even-even edge: contract the blossom through the LCA.
-                    b = lca(v, to)
-                    bases: list[int] = []
-                    mark_path(v, b, to, queue, bases)
-                    mark_path(to, b, v, queue, bases)
-                    for bv in bases:
-                        uf[bv] = b
-                elif parent[to] == -1:
-                    parent[to] = v
+                s = tree[to]
+                if s == -1:
+                    x = match[to]
+                    if x != -1:
+                        parent[to] = v
+                        tree[to] = tree[x] = t
+                        odd.append(to)
+                        used[x] = True
+                        queue.append(x)
+                        continue
+                    # An unmatched vertex outside the forest ends the path
+                    # and joins the dying tree, so no live tree can enter
+                    # the flipped path through its new mate.
+                    tree[to] = s = t
                     odd.append(to)
-                    if match[to] == -1:
-                        end = to
-                        break
-                    used[match[to]] = True
-                    queue.append(match[to])
-        to = end
-        while to != -1:
-            v = parent[to]
-            nxt = match[v]
-            match[v] = to
-            match[to] = v
-            to = nxt
+                elif dead[s] or not used[to]:
+                    continue  # a dead tree's vertex, or an odd one
+                elif s == t:
+                    if find(v) != find(to):
+                        # Even-even edge: contract the blossom through the LCA.
+                        b = lca(v, to)
+                        bases: list[int] = []
+                        mark_path(v, b, to, queue, bases)
+                        mark_path(to, b, v, queue, bases)
+                        for bv in bases:
+                            uf[bv] = b
+                    continue
+                flip(v, to)
+                flip(to, v)
+                live -= 1 + (s != t)
+                dead[s] = dead[t] = 1
+                break
         for v in queue:
             used[v] = False
             parent[v] = -1
             uf[v] = v
+            tree[v] = -1
         for v in odd:
             parent[v] = -1
-        return end
+            tree[v] = -1
+        return live < len(roots)
 
-    return augment
+    return phase
 
 
 def _seed(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -376,45 +406,34 @@ def blossom(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     below; hopcroft_karp needs to start only from roots (see
     critical._CriticalStructure).
 
-    A Karp-Sipser seed first (_seed). Then one blossom search over the full
-    adjacency from each vertex of C that the seed left unmatched and that is
-    still unmatched when its turn comes, until fewer than two vertices are
-    waiting: unmatched vertices of C not yet searched from. A seed with no
-    greedy pick leaves C empty and runs no search.
+    A Karp-Sipser seed first (_seed). Then phases of _augmenter, each
+    grown from every waiting vertex, the vertices of C still unmatched,
+    while two or more wait and until one phase does not augment. A seed
+    with no greedy pick leaves C empty and runs no phase.
 
     Why that is maximum. Let P be the peels before the first greedy pick
     (all of them if there is none), U the vertices they leave unmatched, C
     as in _seed and Z = U - C, the vertices of U with no neighbour in U.
     Peels keep optimality, so mu(G) = |P| + mu(G[U]) = |P| + mu(G[C]). Let
-    Z_now be the vertices of Z unmatched right now.
-    - G - Z_now still holds P and G[C], so mu(G - Z_now) = mu(G).
-    - An augmentation never unmatches a vertex, so every unmatched vertex
-      of G - Z_now is in C.
-    - An augmenting path of G - Z_now joins two such vertices. Neither is
-      the root of a search that succeeded, which left it matched. Neither
-      is the root of a search that failed: a search that failed in G stays
-      failed after later augmentations (Edmonds, Canad. J. Math. 17, 1965),
-      and so finds no path in G - Z_now either. So both are waiting.
-    - With fewer than two waiting, G - Z_now has no augmenting path, so the
-      matching is maximum there, of size mu(G).
+    Z_now be the vertices of Z unmatched right now, and H = G - Z_now.
+    - H still holds P and G[C], so mu(H) = mu(G).
+    - An augmentation never unmatches a vertex, so the unmatched vertices
+      of H are in C: they are the waiting ones, every phase's roots.
+    - With fewer than two waiting, H has no augmenting path.
+    - A phase that does not augment grew a complete forest from every
+      unmatched vertex of H and met no vertex of Z_now, so H has no
+      augmenting path (Edmonds, Canad. J. Math. 17, 1965).
+    Either way the matching is maximum on H, of size mu(G). Every phase but
+    the last augments, so failed work is at most one phase per call.
     Z', in critical._CriticalStructure, is Z_now at the end.
-
-    So the one search skipped when a single vertex is waiting would fail,
-    and a failed search writes nothing to mate: (mate, roots) are those
-    that a search from every vertex still waiting would give.
     """
     match, core = _seed(adj)
-    unmatched = [v for v in core if match[v] == -1]
-    if unmatched:
-        augment = _augmenter(adj, match)
-        waiting = set(unmatched)
-        for v in unmatched:
-            if len(waiting) < 2:
-                break
-            if v in waiting:
-                waiting.remove(v)
-                waiting.discard(augment(v))
-    return match, [v for v in unmatched if match[v] == -1]
+    waiting = [v for v in core if match[v] == -1]
+    if len(waiting) >= 2:
+        phase = _augmenter(adj, match)
+        while len(waiting) >= 2 and phase(waiting):
+            waiting = [v for v in waiting if match[v] == -1]
+    return match, waiting
 
 
 def max_matching_general(g: Graph) -> list[int]:

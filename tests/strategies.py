@@ -62,9 +62,9 @@ def sparse_graph(n: int, c: float, seed: int) -> Graph:
 def two_choice_bipartite(a: int, seed: int) -> Graph:
     """A seeded sparse bipartite graph: left vertices 0 .. a-1, right
     vertices a .. 3a-1, each right vertex joined to 2 distinct random left
-    vertices. The Karp-Sipser seed leaves about a core vertices unmatched,
-    so the blossom runs about a searches, each over much of the graph; on
-    the seeds tried every one of them fails."""
+    vertices. The Karp-Sipser seed leaves about a core vertices unmatched
+    and, on the seeds tried, is already maximum, so the blossom's one phase
+    fails over much of the graph."""
     rng = random.Random(seed)
     edges = [(u, a + j) for j in range(2 * a) for u in rng.sample(range(a), 2)]
     return Graph([f"l{i}" for i in range(a)] + [f"r{j}" for j in range(2 * a)], sorted(edges))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,10 +14,11 @@ from critind import (
 from critind import matching
 from critind.critical import bipartite_double
 from critind.matching import max_matching_bipartite, max_matching_general, min_vertex_cover_bipartite
-from reference import forced_difference, has_augmenting_path
+from reference import augmenter, forced_difference, has_augmenting_path
 from strategies import (
     bipartite_graphs,
     certified_mu,
+    complete_bipartite,
     graphs,
     graphs_with_pendants,
     mate_size,
@@ -45,6 +47,12 @@ def petersen():
 
 def two_triangles_bridge():
     return Graph(list("abcdef"), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+
+
+def diamond():
+    """K_4 minus the edge 2-3: the greedy seed takes the middle edge 0-1 and
+    strands both tips."""
+    return Graph([f"v{i}" for i in range(4)], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
 
 def mate_of(n, pairs):
@@ -439,14 +447,14 @@ class TestKarpSipserSeed:
     )
     def test_greedy_pick_that_costs_an_edge(self, edges, monkeypatch):
         # The one greedy pick takes a diamond's middle edge and strands both
-        # tips, so the seed is one edge short. Exactly one search runs: it
-        # starts with both tips waiting and succeeds, which leaves none.
+        # tips, so the seed is one edge short. Exactly one phase runs: it
+        # starts with both tips waiting and augments once, which leaves none.
         g = Graph([f"v{i}" for i in range(max(map(max, edges)) + 1)], edges)
         seed, _ = matching._seed(g.adj)
         assert seed.count(-1) == g.n - 2 * (mu_exact(g) - 1)
-        _, built, searches = TestWaitingRoots.run(g, monkeypatch)
+        _, built, phases = TestWaitingRoots.run(g, monkeypatch)
         assert built == 1
-        assert [(waiting, end != -1) for _, waiting, end in searches] == [(2, True)]
+        assert phases == [(2, True, 1)]
         assert_maximum(g)
 
     @pytest.mark.parametrize(
@@ -464,8 +472,8 @@ class TestKarpSipserSeed:
 
 def skipped_roots(g):
     """The vertices with a neighbour that the blossom leaves unmatched and
-    leaves out of its roots: no search and no Hopcroft-Karp phase starts
-    there, and only the proofs in matching.blossom and
+    leaves out of its roots: no blossom tree and no Hopcroft-Karp phase
+    starts there, and only the proofs in matching.blossom and
     critical._CriticalStructure say that none needs to."""
     mate, roots = matching.blossom(g.adj)
     rooted = set(roots)
@@ -530,99 +538,181 @@ class TestNoGreedyPick:
 
 
 def blossom_searching_every_root(adj):
-    """The blossom loop with no stop rule: a search from every core vertex
-    still unmatched when its turn comes."""
+    """The per-root blossom with no stop rule, on the reference search: from
+    the same seed, a search from every core vertex still unmatched when its
+    turn comes. Returns its mate list."""
     mate, core = matching._seed(adj)
-    augment = matching._augmenter(adj, mate)
+    augment = augmenter(adj, mate)
     for v in core:
         if mate[v] == -1:
             augment(v)
-    return mate, [v for v in core if mate[v] == -1]
+    return mate
+
+
+def assert_blossom_equals_searching_every_root(g):
+    # The forest may pick other augmenting paths than the per-root searches,
+    # so only mu is compared; roots keep their definition, the core
+    # vertices left unmatched, and the reference finds no augmenting path.
+    mate, roots = matching.blossom(g.adj)
+    _, core = matching._seed(g.adj)
+    assert mate_size(mate) == mate_size(blossom_searching_every_root(g.adj))
+    assert roots == [v for v in core if mate[v] == -1]
+    assert not has_augmenting_path(g, mate)
 
 
 @settings(max_examples=80, deadline=None)
 @given(graphs_with_pendants(max_n=12, max_pendants=12))
 def test_blossom_equals_searching_every_root(g):
-    # Stopping with one root waiting skips only a search that would fail,
-    # and a failed search writes nothing: the output is bit for bit the same.
-    assert matching.blossom(g.adj) == blossom_searching_every_root(g.adj)
+    assert_blossom_equals_searching_every_root(g)
 
 
 @pytest.mark.parametrize("c", [2, 4, 8])
 @pytest.mark.parametrize("n", [2500, 20000])
 def test_blossom_equals_searching_every_root_beyond_oracle_bound(n, c):
-    g = sparse_graph(n, c, seed=n + c)
-    assert matching.blossom(g.adj) == blossom_searching_every_root(g.adj)
+    assert_blossom_equals_searching_every_root(sparse_graph(n, c, seed=n + c))
 
 
 class TestWaitingRoots:
-    """The searches stop once fewer than two roots are waiting: unmatched
-    vertices of the seed's core not yet searched from."""
+    """Phases run while two or more roots wait, the unmatched vertices of
+    the seed's core, and stop after the first that does not augment."""
 
     @staticmethod
     def run(g, monkeypatch):
         """The mate list of matching.blossom on g, the number of augmenters
-        it built, and per search its root, the roots waiting when it started
-        (itself included) and the end it matched, -1 when it failed."""
-        seed, core = matching._seed(g.adj)
-        unmatched = [v for v in core if seed[v] == -1]
-        built, searches = [], []
+        it built, and per phase the roots waiting when it started, whether it
+        augmented and how many augmentations it made. Every phase must start
+        from exactly the core vertices still unmatched."""
+        _, core = matching._seed(g.adj)
+        built, phases = [], []
         augmenter = matching._augmenter
 
         def counted(adj, match):
             built.append(adj)
-            augment = augmenter(adj, match)
+            phase = augmenter(adj, match)
 
-            def logged(root):
-                searched = {r for r, _, _ in searches}
-                waiting = sum(match[v] == -1 and v not in searched for v in unmatched)
-                end = augment(root)
-                searches.append((root, waiting, end))
-                return end
+            def logged(roots):
+                assert roots == [v for v in core if match[v] == -1]
+                unmatched = match.count(-1)
+                augmented = phase(roots)
+                phases.append((len(roots), augmented, (unmatched - match.count(-1)) // 2))
+                return augmented
 
             return logged
 
         monkeypatch.setattr(matching, "_augmenter", counted)
         mate, _ = matching.blossom(g.adj)
-        return mate, len(built), searches
+        return mate, len(built), phases
 
     @pytest.mark.parametrize("g", [cycle(3), cycle(5), clique(5)], ids=["k3", "c5", "k5"])
     def test_one_root_left_starts_no_search(self, g, monkeypatch):
-        mate, built, searches = self.run(g, monkeypatch)
-        assert (built, searches) == (1, [])
+        mate, built, phases = self.run(g, monkeypatch)
+        assert (built, phases) == (0, [])
         assert mate_size(mate) == mu_exact(g)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
     def test_disjoint_triangles(self, k, monkeypatch):
+        # One root per triangle: a single phase finds no path and stops.
         g = disjoint_union_of([cycle(3)] * k)
-        mate, built, searches = self.run(g, monkeypatch)
-        assert built == 1
-        assert [(waiting, end) for _, waiting, end in searches] == [(w, -1) for w in range(k, 1, -1)]
+        mate, built, phases = self.run(g, monkeypatch)
+        assert (built, phases) == ((0, []) if k == 1 else (1, [(k, False, 0)]))
         assert mate_size(mate) == k == networkx_mu(g)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_disjoint_diamonds(self, k, monkeypatch):
+        # One phase makes all k augmentations: trees that meet and die do
+        # not end the phase for the others.
+        mate, built, phases = self.run(disjoint_union_of([diamond()] * k), monkeypatch)
+        assert (built, phases) == (1, [(2 * k, True, k)])
+        assert mate_size(mate) == 2 * k
+
+    @pytest.mark.parametrize("k", [10, 100])
+    def test_phase_stops_with_one_tree_live(self, k, monkeypatch):
+        # The greedy seed strands the diamond's tips and one vertex of the
+        # odd cycle. The tips' trees meet after reading their own rows, and
+        # the phase stops there: a lone tree, grown on, would read the
+        # whole cycle.
+        g = disjoint_union_of([diamond(), cycle(2 * k + 1)])
+        counted = []
+        augmenter = matching._augmenter
+
+        def counting(adj, match):
+            counted.append(CountedAdj(adj))
+            return augmenter(counted[-1], match)
+
+        monkeypatch.setattr(matching, "_augmenter", counting)
+        mate, roots = matching.blossom(g.adj)
+        assert [adj.reads for adj in counted] == [4]
+        assert (len(roots), mate_size(mate)) == (1, 2 + k)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_every_search_starts_with_two_waiting(self, seed, monkeypatch):
         g = sparse_graph(2500, 4, seed)
-        mate, built, searches = self.run(g, monkeypatch)
+        mate, built, phases = self.run(g, monkeypatch)
         assert built == 1
-        assert all(waiting >= 2 for _, waiting, _ in searches)
+        assert all(waiting >= 2 for waiting, _, _ in phases)
+        # Every phase but the last augments; a phase augments iff it matched.
+        assert all(augmented for _, augmented, _ in phases[:-1])
+        assert all(augmented == (made > 0) for _, augmented, made in phases)
         # networkx still judges seed 0, a cross-check of the blossom at this n.
         if certified_mu(g, mate) is None or seed == 0:
             assert mate_size(mate) == networkx_mu(g)
 
 
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("a", [100, 500])
-def test_two_choice_bipartite_beyond_oracle_bound(a, seed):
-    # Every search from the seed's core fails here, each over much of the
-    # graph. B(G) of a bipartite G is two copies of G, so d = n - 2 mu, and
-    # the certificate always reaches its bound; forced_difference reads d
-    # again from its own Hopcroft-Karp.
-    g = two_choice_bipartite(a, seed)
+def assert_certified_bipartite(g):
+    # B(G) of a bipartite G is two copies of G, so d = n - 2 mu, and the
+    # certificate always reaches its bound; forced_difference reads d again
+    # from its own Hopcroft-Karp.
     mate, _ = matching.blossom(g.adj)
     mu = certified_mu(g, mate)
     assert mu is not None
     assert forced_difference(g) == g.n - 2 * mu
+
+
+@pytest.mark.parametrize(("a", "seed"), [(a, seed) for a in (100, 500) for seed in range(3)] + [(8000, 0)])
+def test_two_choice_bipartite_beyond_oracle_bound(a, seed):
+    # On these seeds the seed matching is already maximum and leaves about
+    # a core vertices waiting, so the one phase fails over much of the
+    # graph; a search per waiting root made this quadratic.
+    assert_certified_bipartite(two_choice_bipartite(a, seed))
+
+
+def test_complete_bipartite_beyond_oracle_bound():
+    # The greedy seed is maximum and leaves 300 roots waiting.
+    assert_certified_bipartite(complete_bipartite(300, 600))
+
+
+class CountedAdj(tuple):
+    """An adjacency that counts what it hands out: each row read adds its
+    length to reads."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        row = tuple.__getitem__(self, v)
+        self.reads += len(row)
+        return row
+
+
+def blossom_reads(g):
+    adj = CountedAdj(g.adj)
+    matching.blossom(adj)
+    return adj.reads
+
+
+@pytest.mark.parametrize(
+    ("family", "a"),
+    [(lambda a: two_choice_bipartite(a, 1), 500), (lambda a: two_choice_bipartite(a, 1), 1000),
+     (lambda a: complete_bipartite(a, 2 * a), 50), (lambda a: complete_bipartite(a, 2 * a), 100)],
+    ids=["two-choice-500", "two-choice-1000", "K50,100", "K100,200"],
+)
+def test_blossom_reads_grow_linearly(family, a):
+    # Adjacency reads may grow by less than 2.3 per doubling of m, from a to
+    # 2a: m doubles on two-choice and quadruples on K_{a,2a}. The seed leaves
+    # about a roots waiting on both, and a search per waiting root reads
+    # about 4 (two-choice) and 8 (K_{a,2a}) times as much at 2a.
+    small, big = family(a), family(2 * a)
+    growth = blossom_reads(big) / blossom_reads(small)
+    assert growth < 2.3 ** math.log2(big.m / small.m)
 
 
 @settings(max_examples=80)
