@@ -35,8 +35,8 @@ from .graph import (
     to_edge_list,
 )
 from .matching import (
+    augment_bipartite,
     blossom,
-    hopcroft_karp,
 )
 from .oracle import (
     DEFAULT_ORACLE_BOUND,

@@ -7,7 +7,7 @@ four Konig-Egervary verdicts, and the theorem and consistency checks. The
 checks read those answers from the report rather than recomputing them. They
 run the oracle again only on a G[X] or G[Xc] that is not G itself, and
 blossom for mu(G[X]) only on a proper split (on X = V it is the report's mu).
-hopcroft_karp finds the L4 witness on index lists. The all-MIS verdict and
+augment_bipartite finds the L4 witness on index lists. The all-MIS verdict and
 the set tests of T2, L1, EQ-mcis-valid and EQ-find-critical (independence,
 d(S) and S + N(S)) run on G's adjacency masks, which oracle.adjacency_masks
 builds once and G keeps. Check details, like the report's own fields, hold
@@ -247,7 +247,7 @@ def _run_checks(
     left = sorted(a_side)
     right = sorted(b_side)
     col = {w: j for j, w in enumerate(right)}
-    match_left, _ = matching.hopcroft_karp(
+    match_left, _ = matching.augment_bipartite(
         [[col[w] for w in g.adj[u] if w in col] for u in left], len(right)
     )
     pairs = [(g.labels[u], g.labels[right[j]]) for u, j in zip(left, match_left) if j != -1]

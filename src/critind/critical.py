@@ -4,7 +4,7 @@ d(G) = n - mu(B(G)) over the bipartite double B(G), which is never built.
 Each proof sits at the function that relies on it:
 
 - _CriticalStructure: the blossom matching of G, doubled, seeds one
-  Hopcroft-Karp of B(G) started only from the blossom's roots, and why
+  augment_bipartite of B(G) grown only from the blossom's roots, and why
   that is maximum; the successor digraph, defined there once and never
   stored, whose closed sets are the critical sets; X_min, the closure of
   the unmatched originals.
@@ -33,7 +33,7 @@ from itertools import chain, compress
 from typing import Iterable
 
 from .graph import Graph, check_vertex_set, neighborhood
-from .matching import blossom, hopcroft_karp
+from .matching import augment_bipartite, blossom
 # Unused here: bench/spans.py wraps these names on this module.
 from .matching import max_matching_bipartite, min_vertex_cover_bipartite
 
@@ -91,15 +91,15 @@ class _CriticalStructure:
     Holds g.adj, not g: g owns its structure, so a reference back to g
     would form a cycle that only the cyclic collector frees.
 
-    Hopcroft-Karp starts only from the blossom's roots, the core vertices it
-    left unmatched; with P, U, C, Z and Z' as in matching.blossom that gives
+    augment_bipartite grows its trees only from the blossom's roots, the
+    core vertices it left unmatched; with P, U, C, Z and Z' as in matching.blossom that gives
     a maximum matching of B(G). A peel v -> u of the seed doubles to two
     peels of B(G): first v-u', u' being the only unmatched mirror v sees,
     then u-v', v' having only u left. So mu(B(G)) = 2|P| + mu(B(G[U]))
     = 2|P| + mu(B(G[C])), as Z is isolated in G[U]. The doubled blossom
     matching leaves free the left copies of the roots and of Z'. Removing
     the copies of Z' keeps the doubled peels and B(G[C]), so it loses no
-    matching edge, and HK from the roots never reaches those copies: they
+    matching edge, and no tree from the roots reaches those copies: they
     are never roots, and no matched right vertex leads to them.
     """
 
@@ -109,13 +109,13 @@ class _CriticalStructure:
         self.adj = adj = g.adj
         mate, roots = blossom(adj)
         self.mu = (n - mate.count(-1)) // 2
-        # HK on B(G) without building it: left u is original u, right v is
+        # B(G) matched without building it: left u is original u, right v is
         # the mirror of v, and original u sees the mirrors of its neighbours.
         # The doubled blossom matching starts it: left u holds the mirror of
         # mate[u], and the mirror of v is held by mate[v]. So it makes only
-        # the few augmentations left, and its phases start only from the
+        # the few augmentations left, and its trees grow only from the
         # blossom's roots, the few vertices the peel has not settled.
-        left_match, right_match = hopcroft_karp(adj, n, (mate, mate[:]), roots)
+        left_match, right_match = augment_bipartite(adj, n, (mate, mate[:]), roots)
         self.d = left_match.count(-1)
         self.left_match = left_match
         self.right_match = right_match
@@ -361,7 +361,8 @@ def critical_difference(g: Graph) -> int:
 
 
 def matching_number(g: Graph) -> int:
-    """mu(G), from the blossom matching that seeds the structure's HK."""
+    """mu(G), from the blossom matching that seeds the structure's B(G)
+    matching."""
     return _structure(g).mu
 
 

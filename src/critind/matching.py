@@ -1,36 +1,39 @@
-"""Maximum matchings: Hopcroft-Karp for bipartite graphs (with Konig cover
-extraction) and blossom contraction for general graphs.
+"""Maximum matchings: alternating-forest phases for bipartite graphs (with
+Konig cover extraction) and, with blossom contraction, for general graphs.
 
 Both kernels work on plain index lists, and critical._CriticalStructure
-runs each once per graph on the host adjacency. Each proof sits at the
-function that relies on it:
+runs each once per graph on the host adjacency. Both search in phases: a
+phase grows one alternating forest from every waiting root, and a tree
+that finds an augmenting path flips it and dies while the rest grow on.
+Each proof sits at the function that relies on it:
 
-- hopcroft_karp: a warm start, and phases started only from given roots.
+- augment_bipartite: a warm start, trees grown only from given roots, and
+  why a phase that flips nothing ends the search.
 - _seed: the Karp-Sipser peel never loses optimality.
 - blossom: why phases grown from the seed's unmatched core, until one
   fails or fewer than two roots wait, give a maximum matching.
-- _augmenter: one phase grows a forest from every root at once.
+- _augmenter: one blossom phase grows a forest from every root at once.
 
 max_matching_bipartite, min_vertex_cover_bipartite and max_matching_general
 wrap the kernels for a Graph; they are cross-checks, and no production
 answer goes through them. They stay here, outside __all__, only because the
-benchmark's spans wrap them by these names; the augmenting-path test lives
-with the tests, in tests/reference.py. Every matching, taken or returned, is
-a mate list: mate[v] is v's partner, or -1 when v is unmatched. Returned
-matchings are deterministic (vertices are scanned in index order) but not
-canonical.
+benchmark's spans wrap them by these names; Hopcroft-Karp and the
+augmenting-path test live with the tests, in tests/reference.py. Every
+matching, taken or returned, is a mate list: mate[v] is v's partner, or -1
+when v is unmatched. Returned matchings are deterministic (vertices are
+scanned in index order) but not canonical.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import compress
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph import Graph, check_vertex_set
 
 __all__ = [
-    "hopcroft_karp",
+    "augment_bipartite",
     "blossom",
 ]
 
@@ -54,7 +57,7 @@ def _validate_mate(g: Graph, mate: Sequence[int]) -> None:
             raise ValueError(f"mate[{v}] = {u} is not a matching edge of the graph")
 
 
-def hopcroft_karp(
+def augment_bipartite(
     adj: Sequence[Sequence[int]],
     n_right: int,
     initial: tuple[list[int], list[int]] | None = None,
@@ -65,91 +68,78 @@ def hopcroft_karp(
     each entry is the partner's index on the other side, or -1.
 
     initial, a matching in that form to start from, is augmented in place
-    and returned, so a near-maximum start leaves few phases to run.
+    and returned, so a near-maximum start leaves few augmentations to make.
 
-    roots, distinct left indices, are the only vertices the phases start
-    from; None means every left index. A free left vertex left out of roots
-    is never matched: no path from a root reaches it, since the path enters
-    a left vertex only through its matched right partner. So the result is
-    a maximum matching of the graph minus the free left vertices left out,
-    and it is maximum for the whole graph when the caller knows that removing
-    them loses nothing. With roots empty, or all matched, initial comes back
-    untouched. Each phase makes one O(n_left) pass to reset the BFS layers;
-    the rest of its work is over the free roots and what they reach.
+    roots, distinct left indices, are the only vertices the trees grow from;
+    None means every left index. A free left vertex left out of roots is
+    never matched: a tree enters a left vertex only through its matched
+    right partner. So the result is a maximum matching of the graph minus
+    the free left vertices left out, and it is maximum for the whole graph
+    when the caller knows that removing them loses nothing. With roots
+    empty, or all matched, initial comes back untouched.
+
+    The search runs in phases, as blossom's does, with no blossom to
+    contract. A phase grows one BFS alternating forest with a tree from
+    every free root. A right vertex joins the first tree that reaches it,
+    and its partner joins with it. A tree that reaches a free right vertex
+    flips its path and dies, and the other trees grow on: the flip re-pairs
+    only right vertices the dying tree holds, which no other tree enters,
+    and their partners. Why that is maximum: a phase that flips nothing
+    left the matching as it was and grew a complete Hungarian forest, in
+    which every right neighbour of a tree vertex is matched and in the
+    forest. So no augmenting path starts at a root, and the call returns.
+    A phase costs what its forest reads, with no O(n) reset. Unlike
+    Hopcroft-Karp, which needs O(sqrt(n)) phases, nothing bounds the number
+    of phases below the number of augmentations.
     """
     n_left = len(adj)
-    INF = n_left + 1
     match_left, match_right = initial or ([-1] * n_left, [-1] * n_right)
     free = [u for u in (range(n_left) if roots is None else roots) if match_left[u] == -1]
-    dist: list[int] = []
-
-    def bfs() -> int:
-        nonlocal dist
-        dist = [INF] * n_left
-        for u in free:
-            dist[u] = 0
-        q = deque(free)
-        d_nil = INF
-        while q:
-            u = q.popleft()
-            if dist[u] < d_nil:
-                for w in adj[u]:
-                    x = match_right[w]
-                    if x == -1:
-                        if d_nil == INF:
-                            d_nil = dist[u] + 1
-                    elif dist[x] == INF:
-                        dist[x] = dist[u] + 1
-                        q.append(x)
-        return d_nil
-
-    def dfs(root: int, d_nil: int) -> bool:
-        # Iterative: explicit frame stack so long augmenting paths cannot
-        # overflow the interpreter recursion limit.
-        stack: list[tuple[int, Iterator[int]]] = [(root, iter(adj[root]))]
-        via: list[int] = []
-        while stack:
-            u, it = stack[-1]
-            for w in it:
-                x = match_right[w]
-                if x == -1:
-                    if d_nil == dist[u] + 1:
-                        # Frame i descended through via[i]; augment along it.
-                        via.append(w)
-                        for (pu, _), pw in zip(stack, via):
-                            match_right[pw] = pu
-                            match_left[pu] = pw
-                        return True
-                elif dist[x] == dist[u] + 1:
-                    via.append(w)
-                    stack.append((x, iter(adj[x])))
-                    break
-            else:
-                dist[u] = INF
-                stack.pop()
-                if via:
-                    via.pop()
-        return False
-
+    if not free:
+        return match_left, match_right  # most warm starts: allocate nothing
+    seen = [0] * n_right  # the last phase that reached each right vertex
+    parent = [-1] * n_left  # the left vertex a non-root joined the forest through
+    tree = [-1] * n_left  # the root of each left vertex's tree
+    phase = 0
     while free:
-        d_nil = bfs()
-        if d_nil == INF:
+        phase += 1
+        for r in free:
+            tree[r] = r
+        queue = list(free)
+        for u in queue:
+            r = tree[u]
+            if match_left[r] != -1:
+                continue  # its tree flipped this phase
+            for w in adj[u]:
+                if seen[w] == phase:
+                    continue
+                seen[w] = phase
+                x = match_right[w]
+                if x != -1:
+                    parent[x] = u
+                    tree[x] = r
+                    queue.append(x)
+                    continue
+                while w != -1:
+                    old = match_left[u]
+                    match_left[u] = w
+                    match_right[w] = u
+                    u, w = parent[u], old
+                break
+        waiting = [u for u in free if match_left[u] == -1]
+        if len(waiting) == len(free):
             break
-        # A search matches its own root and re-pairs only matched vertices,
-        # so every root still in free is unmatched when its turn comes.
-        for u in free:
-            dfs(u, d_nil)
-        free = [u for u in free if match_left[u] == -1]
+        free = waiting
     return match_left, match_right
 
 
 def max_matching_bipartite(g: Graph, left: Iterable[int]) -> list[int]:
-    """Maximum matching via Hopcroft-Karp, as a mate list over g; left is
+    """Maximum matching via augment_bipartite, as a mate list over g; left is
     one side of a bipartition. The left side is numbered in sorted order and
     the right side keeps its host indices, so the kernel scans in the host's
     index order."""
     left = sorted(_validate_partition(g, left))
-    match_left, _ = hopcroft_karp([g.adj[u] for u in left], g.n)
+    match_left, _ = augment_bipartite([g.adj[u] for u in left], g.n)
     mate = [-1] * g.n
     for u, w in zip(left, match_left):
         if w != -1:
@@ -403,7 +393,7 @@ def blossom(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     Returns (mate, roots): mate[v] is v's partner, or -1 when v is
     unmatched, and roots lists in index order the vertices of the seed's
     core C that are still unmatched. Every other unmatched vertex is in Z
-    below; hopcroft_karp needs to start only from roots (see
+    below; augment_bipartite needs to start only from roots (see
     critical._CriticalStructure).
 
     A Karp-Sipser seed first (_seed). Then phases of _augmenter, each

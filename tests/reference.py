@@ -4,11 +4,12 @@ already answers."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from collections import deque
+from typing import Callable, Iterable, Iterator, Sequence
 
 from critind import Graph, neighborhood
 from critind.graph import check_vertex_set
-from critind.matching import _validate_mate, hopcroft_karp
+from critind.matching import _validate_mate
 
 
 def forced_difference(g: Graph, force_in: Iterable[int] = (), force_out: Iterable[int] = ()) -> int:
@@ -28,6 +29,99 @@ def forced_difference(g: Graph, force_in: Iterable[int] = (), force_out: Iterabl
     left_match, _ = hopcroft_karp([[w for w in g.adj[u] if w not in nf] for u in kept], g.n)
     mu = len(kept) - left_match.count(-1)
     return g.n - len(force_out) - len(nf) - mu
+
+
+def hopcroft_karp(
+    adj: Sequence[Sequence[int]],
+    n_right: int,
+    initial: tuple[list[int], list[int]] | None = None,
+    roots: Iterable[int] | None = None,
+) -> tuple[list[int], list[int]]:
+    """Maximum bipartite matching; adj[u] lists the right indices (below
+    n_right) adjacent to left index u. Returns (match_left, match_right):
+    each entry is the partner's index on the other side, or -1.
+
+    initial, a matching in that form to start from, is augmented in place
+    and returned, so a near-maximum start leaves few phases to run.
+
+    roots, distinct left indices, are the only vertices the phases start
+    from; None means every left index. A free left vertex left out of roots
+    is never matched: no path from a root reaches it, since the path enters
+    a left vertex only through its matched right partner. So the result is
+    a maximum matching of the graph minus the free left vertices left out,
+    and it is maximum for the whole graph when the caller knows that removing
+    them loses nothing. With roots empty, or all matched, initial comes back
+    untouched. Each phase makes one O(n_left) pass to reset the BFS layers;
+    the rest of its work is over the free roots and what they reach.
+
+    Layered shortest-path phases (Hopcroft & Karp, SIAM J. Comput. 2, 1973):
+    the tests' judge of matching.augment_bipartite, whose unlayered forests
+    share no code with it.
+    """
+    n_left = len(adj)
+    INF = n_left + 1
+    match_left, match_right = initial or ([-1] * n_left, [-1] * n_right)
+    free = [u for u in (range(n_left) if roots is None else roots) if match_left[u] == -1]
+    dist: list[int] = []
+
+    def bfs() -> int:
+        nonlocal dist
+        dist = [INF] * n_left
+        for u in free:
+            dist[u] = 0
+        q = deque(free)
+        d_nil = INF
+        while q:
+            u = q.popleft()
+            if dist[u] < d_nil:
+                for w in adj[u]:
+                    x = match_right[w]
+                    if x == -1:
+                        if d_nil == INF:
+                            d_nil = dist[u] + 1
+                    elif dist[x] == INF:
+                        dist[x] = dist[u] + 1
+                        q.append(x)
+        return d_nil
+
+    def dfs(root: int, d_nil: int) -> bool:
+        # Iterative: explicit frame stack so long augmenting paths cannot
+        # overflow the interpreter recursion limit.
+        stack: list[tuple[int, Iterator[int]]] = [(root, iter(adj[root]))]
+        via: list[int] = []
+        while stack:
+            u, it = stack[-1]
+            for w in it:
+                x = match_right[w]
+                if x == -1:
+                    if d_nil == dist[u] + 1:
+                        # Frame i descended through via[i]; augment along it.
+                        via.append(w)
+                        for (pu, _), pw in zip(stack, via):
+                            match_right[pw] = pu
+                            match_left[pu] = pw
+                        return True
+                elif dist[x] == dist[u] + 1:
+                    via.append(w)
+                    stack.append((x, iter(adj[x])))
+                    break
+            else:
+                dist[u] = INF
+                stack.pop()
+                if via:
+                    via.pop()
+        return False
+
+    while free:
+        d_nil = bfs()
+        if d_nil == INF:
+            break
+        # A search matches its own root and re-pairs only matched vertices,
+        # so every root still in free is unmatched when its turn comes.
+        for u in free:
+            dfs(u, d_nil)
+        free = [u for u in free if match_left[u] == -1]
+    return match_left, match_right
 
 
 def has_augmenting_path(g: Graph, mate: Sequence[int]) -> bool:

@@ -76,6 +76,18 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph([f"a{i}" for i in range(a)] + [f"b{j}" for j in range(b)], edges)
 
 
+def odd_cycles(k: int) -> Graph:
+    """Disjoint cycles C_3, C_5, ..., C_{2k+1}: n = k(k + 2) vertices. Each
+    B(C_{2i+1}) is C_{4i+2}, so d = 0, mu = k(k + 1) / 2, and the critical
+    independent sets are all empty."""
+    labels, edges = [], []
+    for i in range(1, k + 1):
+        base, size = len(labels), 2 * i + 1
+        labels += [f"c{i}_{j}" for j in range(size)]
+        edges += [(base + j, base + (j + 1) % size) for j in range(size)]
+    return Graph(labels, edges)
+
+
 def path(n: int) -> Graph:
     """P_n on vertices 0 .. n-1 in path order."""
     return Graph([f"v{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])

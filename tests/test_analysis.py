@@ -24,7 +24,7 @@ from critind import (
 )
 from critind import analysis, critical, matching, oracle
 from critind.cli import corpus_specs
-from strategies import graphs, mask_members, permuted, sparse_graph, vertex_mask
+from strategies import graphs, mask_members, odd_cycles, permuted, sparse_graph, vertex_mask
 
 EXPECTED_CHECK_IDS = [
     "B", "C", "K", "L1", "L2", "L4", "L4-matching",
@@ -238,8 +238,19 @@ def test_analyze_disconnected_mixed():
     assert label_set(g, r.decomposition.Xc) == ["x", "y", "z"]
 
 
+def test_analyze_disjoint_odd_cycles_beyond_oracle_bound():
+    # C_3, C_5, ..., C_401, n = 40400. Each B(C_{2i+1}) = C_{4i+2} is
+    # perfectly matched, and an odd cycle has no nonempty critical
+    # independent set, so every answer is known exactly.
+    k = 200
+    report = analyze(odd_cycles(k))
+    assert (report.d, report.mu) == (0, k * (k + 1) // 2)
+    assert report.decomposition.I == report.decomposition.X == report.diadem == frozenset()
+    assert report.ok
+
+
 def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
-    # Every answer comes from the one blossom and the one Hopcroft-Karp
+    # Every answer comes from the one blossom and the one augment_bipartite
     # behind the cached structure, the latter seeded with the doubled
     # blossom matching; the double and the Konig cover are cross-checks only.
     # The checks run the matching kernels on index lists, so no Graph of
@@ -254,7 +265,7 @@ def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
     monkeypatch.setattr(analysis, "Graph", refuse)
     calls = []
     mates = []
-    kernel = critical.hopcroft_karp
+    kernel = critical.augment_bipartite
     blossom = critical.blossom
 
     def counted(*args):
@@ -266,7 +277,7 @@ def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
         mates.append(mate[:])
         return mate, roots
 
-    monkeypatch.setattr(critical, "hopcroft_karp", counted)
+    monkeypatch.setattr(critical, "augment_bipartite", counted)
     monkeypatch.setattr(critical, "blossom", counted_blossom)
     inputs = [fixture(name) for name in ("G1", "G2", "GF")]
     inputs += [generate(spec) for spec in corpus_specs(50, 0, 12, [0.1, 0.3, 0.5, 0.8], 20260809)]
@@ -455,7 +466,7 @@ def _beside_g2(draw):
 @settings(max_examples=60)
 @given(graphs(max_n=10) | _beside_g2())
 def test_l4_matching_witness_pairs_are_edges_from_a_to_target(g):
-    # The witness comes straight from hopcroft_karp on index lists, which
+    # The witness comes straight from augment_bipartite on index lists, which
     # nothing validates, so check each pair against G here.
     # A and target are index sets; the matching holds label pairs.
     detail = {c.id: c for c in analyze(g).checks}["L4-matching"].detail

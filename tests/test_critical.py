@@ -19,7 +19,6 @@ from critind import (
     find_critical_independent_set,
     generate,
     gnp,
-    hopcroft_karp,
     independence_profile,
     induced_subgraph,
     is_independent,
@@ -32,7 +31,7 @@ from critind import (
 from critind import critical
 from critind.critical import bipartite_double
 from critind.matching import max_matching_bipartite, max_matching_general, min_vertex_cover_bipartite
-from reference import forced_difference
+from reference import forced_difference, hopcroft_karp
 from strategies import (
     certified_mu,
     complete_bipartite,
@@ -671,8 +670,8 @@ def test_d_matches_networkx_beyond_oracle_bound(n, c):
 
 @pytest.mark.parametrize(("n", "c"), [(n, c) for n in (300, 1000, 3000) for c in (1.5, 2, 2.7)])
 def test_d_from_core_roots_matches_networkx_beyond_oracle_bound(n, c):
-    # Hopcroft-Karp starts only from the blossom's roots. Each graph here
-    # has unmatched vertices with neighbours that are no root.
+    # augment_bipartite grows trees only from the blossom's roots. Each
+    # graph here has unmatched vertices with neighbours that are no root.
     g = sparse_graph(n, c, seed=19 * n + int(10 * c))
     mate, roots = critical.blossom(g.adj)
     assert any(mate[v] == -1 and v not in roots and g.adj[v] for v in range(n))
@@ -687,8 +686,9 @@ def test_d_with_pendants_matches_networkx(g):
 
 @pytest.mark.parametrize(("n", "c"), [(200, 2), (500, 3), (800, 4), (1000, 5), (1500, 2), (1500, 5)])
 def test_warm_start_matches_cold_matchings_beyond_oracle_bound(n, c):
-    # The structure's HK starts from the doubled blossom matching; a cold HK
-    # and the public blossom wrapper check both numbers it yields.
+    # The structure's B(G) matching starts from the doubled blossom matching;
+    # a cold reference Hopcroft-Karp and the public blossom wrapper check both
+    # numbers it yields.
     g = sparse_graph(n, c, seed=13 * n + c)
     cold_left, _ = hopcroft_karp(g.adj, n)
     mu = critical.matching_number(g)

@@ -45,6 +45,7 @@ CROSS_CHECKS = (
     "bipartite_double",
     "forced_difference",
     "has_augmenting_path",
+    "hopcroft_karp",
     "max_matching_bipartite",
     "max_matching_general",
     "min_vertex_cover_bipartite",
