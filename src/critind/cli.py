@@ -2,7 +2,7 @@
 seeded corpus, or emit generated graphs.
 
 Exit codes: 0 success, 1 check failure (always an implementation bug),
-2 input, output or config error, 3 oracle-bound refusal.
+2 input, output or config error or a MemoryError, 3 oracle-bound refusal.
 """
 
 from __future__ import annotations
@@ -238,6 +238,11 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader closed stdout: the flush at exit goes to devnull instead.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
+    except MemoryError:
+        code = None  # reported once the frames that hold the memory are freed
+    if code is None:
+        print("error: out of memory; the input is too large", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return code
 

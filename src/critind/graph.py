@@ -15,19 +15,20 @@ The edge-list parser reads the text in blocks of about 64 KiB that end at a
 newline. A block in the canonical layout that to_edge_list writes (lines
 "a b", then lines of one label, each ending in a newline) is recognised from
 its whitespace and its token count, split once, and interned by mapping one
-dict over its tokens, all at C level; its endpoints join two flat int lists,
-with no tuple per edge. Every other block, and a canonical one that holds an error, goes
-through the per-line loop, which alone names lines; so the graph and every
-error message are those of a per-line parse of the whole text.
+dict over its tokens, all at C level; its endpoints join one flat int list.
+Only its layout is tested: a self-loop or a label past the header's count in
+it fails a check after the loop. Other blocks go through the per-line loop,
+and any failure parses the whole text again line by line; so the graph and
+every error message are those of a per-line parse, and invalid text costs
+at most two parses, bounded by its own size.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import count
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -75,15 +76,16 @@ class ParseError(ValueError):
 
 
 class _Edges:
-    """The edges (us[i], vs[i]) as a re-iterable, with no tuple per edge."""
+    """The edges (ends[2i], ends[2i + 1]) as a re-iterable, with no tuple per edge."""
 
-    __slots__ = ("us", "vs")
+    __slots__ = ("ends",)
 
-    def __init__(self, us: list[int], vs: list[int]):
-        self.us, self.vs = us, vs
+    def __init__(self, ends: list[int]):
+        self.ends = ends
 
     def __iter__(self):
-        return zip(self.us, self.vs)
+        it = iter(self.ends)
+        return zip(it, it)
 
 
 class Graph:
@@ -253,13 +255,12 @@ def parse_graph(text: str, format: str = "edge_list") -> Graph:
     raise ValueError(f"unknown graph format {format!r}")
 
 
-def _parse_edge_list(text: str) -> Graph:
+def _parse_edge_list(text: str, blocks: bool = True) -> Graph:
     # Label -> index, handed out in first-appearance order; its keys, in
     # insertion order, are the label list.
     index: defaultdict[str, int] = defaultdict(count().__next__)
     get = index.get
-    us: list[int] = []  # edge i joins us[i] and vs[i]
-    vs: list[int] = []
+    ends: list[int] = []  # edge i joins ends[2i] and ends[2i + 1]
     n = m = None  # the header's counts, once read
 
     def intern(name: str, lineno: int) -> int:
@@ -301,8 +302,7 @@ def _parse_edge_list(text: str) -> Graph:
                     v = intern(b, lineno)
                 if u == v:
                     raise ParseError(f"self-loop at {a!r}", lineno)
-                us.append(u)
-                vs.append(v)
+                ends.extend((u, v))
             elif len(tokens) == 1:
                 if tokens[0] not in index:
                     intern(tokens[0], lineno)
@@ -312,8 +312,8 @@ def _parse_edge_list(text: str) -> Graph:
 
     def canonical(block: str) -> int:
         """Parse a block in the canonical layout at C level and return how
-        many lines it holds; return 0, with nothing changed, for any other
-        block and for one that per_line would reject."""
+        many lines it holds, or 0 for any other block. Only the layout is
+        tested; a self-loop or a label past the count fails a later check."""
         if "#" in block or not block.isascii() or block[-1] != "\n":
             return 0
         # ASCII, so one byte per character. Its whitespace, in order, must be
@@ -329,37 +329,32 @@ def _parse_edge_list(text: str) -> Graph:
         tokens = block.split()
         if len(tokens) != len(seps):
             return 0
-        before = len(index)
-        ids = list(map(index.__getitem__, tokens))
-        a, b = ids[0 : 2 * k : 2], ids[1 : 2 * k : 2]
-        if len(index) > n or any(map(operator.eq, a, b)):
-            # Unintern the block's new labels, so that per_line meets them
-            # as new and raises at the line that names the first bad one.
-            for name in list(islice(reversed(index), len(index) - before)):
-                del index[name]
-            index.default_factory = count(before).__next__
-            return 0
-        us.extend(a)
-        vs.extend(b)
+        ends.extend(map(index.__getitem__, tokens))
+        del ends[len(ends) - (lines - k) :]  # the isolated vertices' labels
         return lines
 
-    # Blocks end at a newline, so they split into the same lines as the
-    # whole text. The first block is the first line: the header, in the
-    # canonical layout.
-    pos = lineno = 0
-    while pos < len(text):
-        end = text.find("\n", pos and pos + _BLOCK) + 1 or len(text)
-        block = text[pos:end]
-        lineno += (n is not None and canonical(block)) or per_line(block, lineno)
-        pos = end
+    try:
+        # Blocks end at a newline, so they split into the same lines as the
+        # whole text. The first block is the first line: the header, in the
+        # canonical layout.
+        pos = lineno = 0
+        while pos < len(text):
+            end = text.find("\n", pos and pos + _BLOCK) + 1 or len(text)
+            block = text[pos:end]
+            lineno += (blocks and n is not None and canonical(block)) or per_line(block, lineno)
+            pos = end
 
-    if n is None:
-        raise ParseError("missing header 'n m'", 1)
-    if len(index) != n:
-        raise ParseError(f"header declares {n} vertices but {len(index)} were named")
-    if len(us) != m:
-        raise ParseError(f"header declares {m} edges but {len(us)} edge lines found")
-    return Graph(index, _Edges(us, vs))
+        if n is None:
+            raise ParseError("missing header 'n m'", 1)
+        if len(index) != n:
+            raise ParseError(f"header declares {n} vertices but {len(index)} were named")
+        if len(ends) != 2 * m:
+            raise ParseError(f"header declares {m} edges but {len(ends) // 2} edge lines found")
+        return Graph(index, _Edges(ends))
+    except ValueError:
+        if not blocks:
+            raise
+    return _parse_edge_list(text, blocks=False)  # per-line: names the bad line
 
 
 def _parse_dimacs(text: str) -> Graph:

@@ -352,6 +352,35 @@ def test_closed_stdout_exits_2_without_a_traceback(argv, unbuffered):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS and /proc are Linux's")
+def test_out_of_memory_exits_2_without_a_traceback(tmp_path):
+    # The closure bitsets of P_n grow as n^2: analyze peaks near 200 MB at
+    # n = 50000. The child caps only its own address space, 64 MiB above
+    # what it holds after import, so the analysis fails in _closures, after
+    # the parse.
+    n = 50000
+    path = tmp_path / "path.txt"
+    path.write_text(f"{n} {n - 1}\n" + "".join(f"v{i} v{i + 1}\n" for i in range(n - 1)))
+    child = f"""
+import resource, sys
+from critind.cli import main
+size = next(line for line in open("/proc/self/status") if line.startswith("VmSize:"))
+cap = int(size.split()[1]) * 1024 + 64 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(["analyze", "--input", {str(path)!r}, "--skip-checks"]))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", child],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == ["error: out of memory; the input is too large"]
+
+
 # Bytes that move a graph text between its syntactic cases, mixed with any byte.
 _MUTATION_BYTES = st.sampled_from(list(b"0123456789 -\n\t#cpe")) | st.integers(0, 255)
 

@@ -324,6 +324,23 @@ def test_multi_block_text_matches_per_line_reference(defect):
     assert _outcome(lambda: parse_graph(text)) == expected
 
 
+@pytest.mark.parametrize("later", [_three_tokens, _tab, _comment])
+@pytest.mark.parametrize("first", [_self_loop, _label_past_count])
+def test_block_fault_before_a_per_line_block_matches_per_line_reference(first, later):
+    # The first defect, in a canonical block about 1.5 blocks in, is one the
+    # block path does not test for; the later one, about 3.5 blocks in, sends
+    # its block through the per-line loop, which may raise there first. The
+    # error must still be the first one a per-line parse meets.
+    text = _multi_block_text()
+    text = later(text, _line_in_block(text, 3.5))
+    at = _line_in_block(text, 1.5)
+    text = first(text, at)
+    lineno = text.count("\n", 0, at) + 1
+    expected = _outcome(lambda: per_line_reference(text, "edge_list"))
+    assert expected[1].startswith(f"line {lineno}: ")
+    assert _outcome(lambda: parse_graph(text)) == expected
+
+
 def test_multi_block_isolated_lines_interleaved_and_trailing():
     text = _multi_block_text()
     header, body = text.split("\n", 1)
