@@ -5,17 +5,19 @@ analyze is the one entry point. It computes each polynomial answer once
 then, within the oracle bound, the oracle's profile and critical family, the
 four Konig-Egervary verdicts, and the theorem and consistency checks. The
 checks read those answers from the report rather than recomputing them. They
-run the oracle again only on a G[X] or G[Xc] that is not G itself, and
-blossom for mu(G[X]) only on a proper split (on X = V it is the report's mu).
+run the oracle's profile and family again only on a G[X] or G[Xc] that is
+neither G itself nor empty, since G[empty]'s are computed once, at import;
+T2's own max_independent_difference search runs on every G[Xc]. Blossom runs
+for mu(G[X]) only on a proper split (on X = V it is the report's mu).
 augment_bipartite finds the L4 witness on index lists. The all-MIS verdict and
 the set tests of T2, L1, EQ-mcis-valid and EQ-find-critical (independence,
 d(S) and S + N(S)) run on G's adjacency masks, which oracle.adjacency_masks
 builds once and G keeps. Check details, like the report's own fields, hold
 vertex sets as frozensets of indices; to_json_dict alone renders them into
-labels. The verdict is rendered four provably equivalent ways; a
-disagreement anywhere is an implementation bug and is surfaced as a failed
-report, never swallowed. Beyond the oracle bound the oracle-backed fields are
-reported as skipped, explicitly.
+labels. Check records are plain slotted dataclasses. The verdict is rendered
+four provably equivalent ways; a disagreement anywhere is an implementation
+bug and is surfaced as a failed report, never swallowed. Beyond the oracle
+bound the oracle-backed fields are reported as skipped, explicitly.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class KEVerdicts:
         return {**asdict(self), "agree": self.agree}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TheoremCheckResult:
     """Outcome of one theorem/lemma check on a concrete graph."""
 
@@ -81,6 +83,12 @@ class TheoremCheckResult:
     holds: bool
     applicable: bool = True
     detail: dict[str, Any] = field(default_factory=dict)
+
+
+# G[empty]'s oracle answers: the checks take them where X or Xc is empty.
+_EMPTY = Graph((), ())
+_EMPTY_PROF = oracle.independence_profile(_EMPTY)
+_EMPTY_FAM = oracle.critical_family(_EMPTY)
 
 
 def _result(id: str, holds: bool, **detail: Any) -> TheoremCheckResult:
@@ -130,24 +138,27 @@ def _run_checks(
 
     # G[V] is G: same labels, index order and adjacency, so the deterministic
     # oracle's answers and mu there are the ones already computed for G.
+    # G[empty] is _EMPTY, with mu 0 and an empty nucleus and diadem.
     if len(x) == g.n:
-        gx, back_x, prof_x, fam_x, mu_x = g, range(g.n), prof, fam, report.mu
-    else:
+        prof_x, fam_x, mu_x = prof, fam, report.mu
+        nucleus_x, diadem_x = fam.nucleus, fam.diadem
+    elif x:
         gx, back_x = induced_subgraph(g, x)
         prof_x = oracle.independence_profile(gx)
         fam_x = oracle.critical_family(gx)
         mu_x = (gx.n - matching.blossom(gx.adj)[0].count(-1)) // 2
+        nucleus_x = frozenset(back_x[i] for i in fam_x.nucleus)
+        diadem_x = frozenset(back_x[i] for i in fam_x.diadem)
+    else:
+        prof_x, fam_x, mu_x = _EMPTY_PROF, _EMPTY_FAM, 0
+        nucleus_x, diadem_x = fam_x.nucleus, fam_x.diadem
     if len(xc) == g.n:
         gxc, prof_xc = g, prof
-    else:
+    elif xc:
         gxc, _ = induced_subgraph(g, xc)
         prof_xc = oracle.independence_profile(gxc)
-
-    def lift(s: frozenset[int]) -> frozenset[int]:
-        return frozenset(back_x[i] for i in s)
-
-    nucleus_x = lift(fam_x.nucleus)
-    diadem_x = lift(fam_x.diadem)
+    else:
+        gxc, prof_xc = _EMPTY, _EMPTY_PROF
     counting = len(fam.nucleus) + len(fam.diadem)
 
     # T1: KE iff every maximum independent set is critical.
@@ -156,7 +167,7 @@ def _run_checks(
 
     # T2: the four decomposition properties of X.
     t2_i = alpha == prof_x.alpha + prof_xc.alpha
-    t2_ii = prof_x.alpha + mu_x == gx.n
+    t2_ii = prof_x.alpha + mu_x == len(x)
     t2_iii = oracle.max_independent_difference(gxc) == 0
     x_mask = oracle.vertex_mask(x)
     t2_iv = all(_closed_nbr_mask(adj, s) == x_mask for s in fam.maximum_critical_independent)

@@ -294,9 +294,10 @@ def test_analyze_runs_one_matching_and_builds_no_double(monkeypatch):
     "g, x_size, profile_sizes, family_sizes, blossom_sizes",
     [
         # X = V: G[X] is G, and G[Xc] is empty; mu(G[X]) is the report's mu.
-        (Graph([f"v{i}" for i in range(6)], [(0, 1), (2, 3), (4, 5)]), 6, [6, 0], [6], []),
-        # X empty: G[Xc] is G, and G[X] is empty.
-        (Graph(["x", "y", "z"], [(0, 1), (1, 2), (0, 2)]), 0, [3, 0], [3, 0], [0]),
+        # G[empty]'s profile and family are the module's, taken at import.
+        (Graph([f"v{i}" for i in range(6)], [(0, 1), (2, 3), (4, 5)]), 6, [6], [6], []),
+        # X empty: G[Xc] is G, and G[X] is empty, with mu 0.
+        (Graph(["x", "y", "z"], [(0, 1), (1, 2), (0, 2)]), 0, [3], [3], []),
         # Proper splits: G[X] and G[Xc] are graphs of their own. No nonempty
         # independent set of G[Xc] has difference >= 0, so each of its
         # vertices has two neighbors in it: Xc has at least 3 vertices, as
@@ -343,7 +344,7 @@ def test_oracle_runs_once_per_distinct_graph(
     "g, builds",
     [
         (Graph([f"v{i}" for i in range(6)], [(0, 1), (2, 3), (4, 5)]), [6, 0]),
-        (Graph(["x", "y", "z"], [(0, 1), (1, 2), (0, 2)]), [3, 0]),
+        (Graph(["x", "y", "z"], [(0, 1), (1, 2), (0, 2)]), [3]),
         (fixture("GF"), [10, 5, 5]),
         (Graph(["a", "b", "x", "y", "z"], [(0, 1), (2, 3), (3, 4), (2, 4)]), [5, 3, 2]),
     ],
@@ -353,6 +354,8 @@ def test_checked_analyze_builds_masks_once_per_distinct_graph(monkeypatch, g, bu
     # The cases of test_oracle_runs_once_per_distinct_graph: G, and G[X] and
     # G[Xc] where they are not G. Each distinct (graph, masks) pair a call
     # returns is one build; the calls list keeps both alive, so no id is reused.
+    # The 0 of x-is-v is T2's max_independent_difference on G[Xc] = G[empty],
+    # the module's empty graph, whose masks it reads and does not build again.
     calls = []
     real = oracle.adjacency_masks
 
@@ -365,6 +368,55 @@ def test_checked_analyze_builds_masks_once_per_distinct_graph(monkeypatch, g, bu
     assert analyze(g, include_checks=True).ok
     built = {(id(h), id(masks)): h.n for h, masks in calls}
     assert sorted(built.values(), reverse=True) == builds
+
+
+def test_empty_graph_answers_match_the_oracle_and_the_definitions():
+    empty = Graph((), ())
+    assert analysis._EMPTY_PROF == oracle.independence_profile(empty)
+    assert analysis._EMPTY_FAM == oracle.critical_family(empty)
+    # G[empty]: the empty set is its one independent set, so alpha = 0,
+    # Omega = {empty}, d = 0, and every family is the empty set alone.
+    assert analysis._EMPTY.n == 0 and analysis._EMPTY.m == 0
+    assert analysis._EMPTY_PROF == oracle.IndependenceProfile(0, (0,), frozenset(), frozenset())
+    assert analysis._EMPTY_FAM == oracle.CriticalFamily(
+        0, (0,), (0,), frozenset(), frozenset(), frozenset()
+    )
+
+
+class TestCheckRecord:
+    """TheoremCheckResult: a plain slotted record, built as src/ and tests/ do."""
+
+    def test_constructor(self):
+        detail = {"X": frozenset({1})}
+        r = TheoremCheckResult("T2", False, applicable=False, detail=detail)
+        assert (r.id, r.holds, r.applicable, r.detail) == ("T2", False, False, detail)
+        r = TheoremCheckResult("K", holds=True)
+        assert (r.applicable, r.detail) == (True, {})
+        assert [f.name for f in dataclasses.fields(TheoremCheckResult)] == [
+            "id", "holds", "applicable", "detail"
+        ]
+
+    def test_default_details_are_not_shared(self):
+        a, b = TheoremCheckResult("A", True), TheoremCheckResult("B", True)
+        a.detail["k"] = 1
+        assert b.detail == {}
+
+    def test_asdict_replace_and_equality(self):
+        r = TheoremCheckResult("L1", True, detail={"X": frozenset({0, 2})})
+        assert dataclasses.asdict(r) == {
+            "id": "L1", "holds": True, "applicable": True, "detail": {"X": frozenset({0, 2})}
+        }
+        flipped = dataclasses.replace(r, holds=False)
+        assert (flipped.id, flipped.holds, flipped.detail) == ("L1", False, r.detail)
+        assert r == TheoremCheckResult("L1", True, True, detail={"X": frozenset({0, 2})})
+        assert r != flipped
+        assert r != TheoremCheckResult("L1", True, detail={})
+        assert r != ("L1", True, True, {"X": frozenset({0, 2})})
+
+    def test_not_a_tuple(self):
+        r = TheoremCheckResult("C", True)
+        assert not isinstance(r, tuple)
+        assert not hasattr(r, "__dict__")
 
 
 @settings(max_examples=100)
